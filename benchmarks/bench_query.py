@@ -1,22 +1,17 @@
-"""Benchmark the results-store scan paths behind `repro query`.
+"""Benchmark ``repro query``'s read path: ``run_query`` end to end.
 
-Builds one synthetic run of many rows, then times reading it back
-through the two store paths — the line-by-line ``rows.jsonl`` parse and
-the compacted columnar copy — plus a full ``run_query`` aggregate over
-the mounted store.  Besides wall time each benchmark records its
-``rows_scanned_per_sec`` as ``extra_info``, the scan-throughput number
-the performance trajectory (`scripts/bench_record.py`, ``BENCH_<n>.json``)
-tracks; the columnar/jsonl ratio is the speedup the compaction layer
-buys.
+Builds one synthetic run of many rows, then times a full ``run_query``
+aggregate over it: the ``rows.jsonl`` scan, mounting the named tables
+into an in-memory sqlite database, and the SQL itself.  Besides wall
+time the benchmark records its ``rows_scanned_per_sec`` as
+``extra_info``, the scan-throughput number the performance trajectory
+(`scripts/bench_record.py`, ``BENCH_<n>.json``) tracks.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.results.columnar import (compact_run, read_jsonl_records,
-                                    read_records)
 from repro.results.query import run_query
 
 ROWS = 20_000
@@ -24,7 +19,7 @@ ROWS = 20_000
 
 @pytest.fixture(scope="module")
 def synthetic_root(tmp_path_factory):
-    """A results root holding one compacted run of ``ROWS`` rows."""
+    """A results root holding one finished run of ``ROWS`` rows."""
     root = tmp_path_factory.mktemp("bench-query")
     run_dir = root / "SYNTH" / "0123456789ab"
     run_dir.mkdir(parents=True)
@@ -42,59 +37,20 @@ def synthetic_root(tmp_path_factory):
                 "run_health": None}
     with open(run_dir / "manifest.json", "w") as handle:
         json.dump(manifest, handle, allow_nan=False)
-    info = compact_run(str(run_dir))
-    assert info is not None and info.rows == ROWS
-    return str(root), str(run_dir)
-
-
-@pytest.mark.benchmark(group="store-scan")
-def test_bench_scan_jsonl(benchmark, synthetic_root):
-    """The baseline: the tolerant line-by-line rows.jsonl parse."""
-    _, run_dir = synthetic_root
-    rows_path = os.path.join(run_dir, "rows.jsonl")
-
-    records = benchmark.pedantic(read_jsonl_records, args=(rows_path,),
-                                 iterations=1, rounds=5)
-
-    assert len(records) == ROWS
-    benchmark.extra_info["rows"] = ROWS
-    benchmark.extra_info["rows_scanned_per_sec"] = \
-        ROWS / benchmark.stats.stats.mean
-
-
-@pytest.mark.benchmark(group="store-scan")
-def test_bench_scan_columnar(benchmark, synthetic_root):
-    """The compacted read path `repro query` scans through."""
-    _, run_dir = synthetic_root
-
-    def scan():
-        records, source = read_records(run_dir)
-        assert source != "jsonl"
-        return records
-
-    records = benchmark.pedantic(scan, iterations=1, rounds=5)
-
-    assert len(records) == ROWS
-    assert records == read_jsonl_records(
-        os.path.join(run_dir, "rows.jsonl"))  # lossless, not just fast
-    benchmark.extra_info["rows"] = ROWS
-    benchmark.extra_info["rows_scanned_per_sec"] = \
-        ROWS / benchmark.stats.stats.mean
+    return str(root)
 
 
 @pytest.mark.benchmark(group="store-scan")
 def test_bench_query_aggregate(benchmark, synthetic_root):
     """Mount + SQL aggregate over every stored row (`repro query`)."""
-    root, _ = synthetic_root
     sql = ("SELECT n, COUNT(*) AS trials, AVG(undecided) AS mean_undecided "
            "FROM rows GROUP BY n ORDER BY n")
 
-    result = benchmark.pedantic(run_query, args=(root, sql),
+    result = benchmark.pedantic(run_query, args=(synthetic_root, sql),
                                 iterations=1, rounds=3)
 
     assert len(result.rows) == 5
     assert sum(row[1] for row in result.rows) == ROWS
     benchmark.extra_info["rows"] = ROWS
-    benchmark.extra_info["engine"] = result.engine
     benchmark.extra_info["rows_scanned_per_sec"] = \
         ROWS / benchmark.stats.stats.mean

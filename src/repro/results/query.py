@@ -1,39 +1,38 @@
 """SQL over every stored run: the ``repro query`` backend.
 
-:func:`mount_store` flattens the whole results store into two logical
-tables:
+:func:`mount_store` flattens the results store into up to four tables:
 
 * ``rows`` — one record per stored data row, with the owning run's
   manifest fields joined in as columns (``experiment``, ``run_id``,
   ``seed``, ``backend``, ``completed``, ``wall_time_seconds``,
   ``params`` and ``run_health`` as JSON text, ``health_failures``), plus
   the row's cell identity (``cell``, ``row_index``) and every column of
-  the row itself.
+  the row itself.  Each experiment is also a view over it:
+  ``SELECT * FROM E2 ...``.
 * ``runs`` — one record per run directory (the manifest summary, with
   ``row_count`` taken from the rows actually readable on disk, not from
   the manifest — a debounced manifest may lag a killed run by a few
   rows).
-
-Runs executed with telemetry additionally contribute two tables mounted
-from their ``telemetry.jsonl`` event logs (empty tables when no run has
-one):
-
-* ``spans`` — one record per span (``span_id``, ``parent_id``, ``name``,
-  ``t0``, ``dur`` plus every span attribute seen — ``tag``, ``scope``,
-  ``ok``...), with ``experiment``/``run_id`` joined in.
+* ``spans`` — one record per span of the runs' ``telemetry.jsonl``
+  event logs (``span_id``, ``parent_id``, ``name``, ``t0``, ``dur`` plus
+  every span attribute seen — ``tag``, ``scope``, ``ok``...), with
+  ``experiment``/``run_id`` joined in.  Empty when no run has telemetry.
 * ``metrics`` — one record per counter/gauge event (``kind``, ``name``,
   ``t``, ``delta``, ``value``), same join columns.
 
-Reading goes through :func:`repro.results.columnar.read_records`, so a
-compacted store scans at columnar speed, and through
-:func:`repro.results.store.scan_runs`, so corrupt run directories are
-skipped with a warning instead of bricking every query.
+Reading goes through :func:`repro.results.store.scan_runs`, so corrupt
+run directories are skipped with a warning instead of bricking every
+query.
 
-:func:`run_query` executes SQL against those tables with DuckDB when it
-is importable (each experiment additionally mounted as a view:
-``SELECT * FROM E2 ...``), and otherwise through the dependency-free
-subset evaluator in :mod:`repro.results.minisql`.  Both engines see the
-same mounted data — the engines differ only in SQL coverage.
+:func:`run_query` executes the SQL with the standard library's
+``sqlite3`` against an in-memory database that holds only the tables
+and views the SQL names: a word of the query that matches no table
+costs nothing, and a word that matches one by accident only mounts an
+extra table, so results never depend on the match.  SQL identifiers are
+case-insensitive, so a column whose name case-folds to one already
+taken gets a ``_<k>`` suffix (E8's constants ``c`` and ``C`` read back
+as ``c`` and ``C_2``).  Values keep their stored types: columns are
+untyped, and a column holding only booleans reads back as booleans.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.results.store import scan_runs
 from repro.telemetry import TELEMETRY_NAME, read_events
@@ -58,8 +57,7 @@ ROW_META_COLUMNS = (
 
 RUNS_COLUMNS = (
     "experiment", "run_id", "seed", "backend", "completed",
-    "wall_time_seconds", "row_count", "columnar_codec",
-    "health_failures", "params",
+    "wall_time_seconds", "row_count", "health_failures", "params",
 )
 
 #: Fixed columns of the ``spans`` table; span attributes follow
@@ -77,7 +75,13 @@ METRICS_COLUMNS = (
 _SPAN_EVENT_KEYS = ("kind", "id", "parent", "name", "t0", "dur")
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _RESERVED_TABLES = {"rows", "runs", "spans", "metrics"}
+
+#: Built once: ``json.dumps`` with keyword arguments builds a fresh
+#: encoder per call, which dominates mounting span attributes.
+_dumps_sorted = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+_dumps_strict = json.JSONEncoder(allow_nan=False).encode
 
 
 class QueryError(ValueError):
@@ -86,36 +90,27 @@ class QueryError(ValueError):
 
 @dataclass
 class MountedStore:
-    """The results store flattened into queryable tables."""
+    """The results store flattened into queryable tables.
+
+    ``tables`` holds only the mounted tables; ``views`` names the
+    experiments mounted as views over ``rows``.
+    """
 
     tables: Dict[str, List[Dict[str, Any]]]
     columns: Dict[str, List[str]]
     experiments: List[str] = field(default_factory=list)
-
-    @property
-    def row_count(self) -> int:
-        return len(self.tables["rows"])
+    views: List[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class QueryResult:
-    """One executed query: labelled columns, tuple rows, engine used."""
+    """One executed query: labelled columns and tuple rows."""
 
     columns: List[str]
     rows: List[Tuple[Any, ...]]
-    engine: str
 
     def as_dicts(self) -> List[Dict[str, Any]]:
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-def duckdb_ok() -> bool:
-    """Whether the DuckDB engine is available."""
-    try:
-        import duckdb  # noqa: F401
-    except Exception:
-        return False
-    return True
 
 
 def _health_failures(manifest: Mapping[str, Any]) -> int:
@@ -123,28 +118,48 @@ def _health_failures(manifest: Mapping[str, Any]) -> int:
     return len(block.get("failures", []) or [])
 
 
-def mount_store(root: str,
-                experiment: Optional[str] = None) -> MountedStore:
-    """Flatten every loadable run under ``root`` into rows/runs tables."""
-    rows_table: List[Dict[str, Any]] = []
-    runs_table: List[Dict[str, Any]] = []
-    spans_table: List[Dict[str, Any]] = []
-    metrics_table: List[Dict[str, Any]] = []
-    row_columns: List[str] = list(ROW_META_COLUMNS)
-    seen_columns = set(row_columns)
-    span_columns: List[str] = list(SPAN_META_COLUMNS)
-    span_seen = set(span_columns)
+def _json_cell(value: Any) -> Any:
+    if isinstance(value, (dict, list)):
+        return _dumps_sorted(value)
+    return value
+
+
+def mount_store(root: str, experiment: Optional[str] = None,
+                names: Optional[Collection[str]] = None) -> MountedStore:
+    """Flatten the loadable runs under ``root`` into tables.
+
+    ``names`` are the lower-cased words of a query (see
+    :func:`run_query`): only the tables and experiment views they name
+    are built.  ``None`` mounts everything.
+    """
+    runs = list(scan_runs(root, experiment=experiment))
     experiments: List[str] = []
-    for run_dir, manifest, records in scan_runs(root,
-                                                experiment=experiment):
+    for _, manifest, _ in runs:
+        if manifest["experiment"] not in experiments:
+            experiments.append(manifest["experiment"])
+    views = [name for name in experiments
+             if _IDENTIFIER_RE.match(name) and
+             name.lower() not in _RESERVED_TABLES and
+             (names is None or name.lower() in names)]
+
+    def wanted(table: str) -> bool:
+        return names is None or table in names
+
+    tables: Dict[str, List[Dict[str, Any]]] = {}
+    columns: Dict[str, List[str]] = {}
+    if wanted("runs"):
+        tables["runs"], columns["runs"] = [], list(RUNS_COLUMNS)
+    if wanted("rows") or views:
+        tables["rows"], columns["rows"] = [], list(ROW_META_COLUMNS)
+    if wanted("spans"):
+        tables["spans"], columns["spans"] = [], list(SPAN_META_COLUMNS)
+    if wanted("metrics"):
+        tables["metrics"], columns["metrics"] = [], list(METRICS_COLUMNS)
+    seen = {table: set(declared) for table, declared in columns.items()}
+
+    for run_dir, manifest, records in runs:
         run_id = run_dir.rstrip("/").rsplit("/", 1)[-1]
         name = manifest["experiment"]
-        if name not in experiments:
-            experiments.append(name)
-        params_json = json.dumps(manifest.get("params"), sort_keys=True,
-                                 allow_nan=False)
-        health_json = json.dumps(manifest.get("run_health"),
-                                 sort_keys=True, allow_nan=False)
         meta = {
             "experiment": name,
             "run_id": run_id,
@@ -152,35 +167,33 @@ def mount_store(root: str,
             "backend": manifest.get("backend"),
             "completed": bool(manifest.get("completed")),
             "wall_time_seconds": manifest.get("wall_time_seconds"),
-            "params": params_json,
-            "run_health": health_json,
+            "params": _dumps_sorted(manifest.get("params")),
+            "run_health": _dumps_sorted(manifest.get("run_health")),
             "health_failures": _health_failures(manifest),
         }
-        columnar = manifest.get("columnar") or {}
-        runs_table.append({
-            **{key: meta[key] for key in
-               ("experiment", "run_id", "seed", "backend", "completed",
-                "wall_time_seconds", "params", "health_failures")},
-            "row_count": len(records),
-            "columnar_codec": columnar.get("codec"),
-        })
-        for record in records:
-            flattened = dict(meta)
-            flattened["cell"] = json.dumps(record["key"],
-                                           allow_nan=False)
-            flattened["row_index"] = record["index"]
-            for column, value in record["row"].items():
-                if column not in seen_columns:
-                    seen_columns.add(column)
-                    row_columns.append(column)
-                if isinstance(value, (dict, list)):
-                    value = json.dumps(value, sort_keys=True,
-                                       allow_nan=False)
-                flattened[column] = value
-            rows_table.append(flattened)
+        if "runs" in tables:
+            tables["runs"].append({
+                **{key: meta[key] for key in
+                   ("experiment", "run_id", "seed", "backend", "completed",
+                    "wall_time_seconds", "params", "health_failures")},
+                "row_count": len(records),
+            })
+        if "rows" in tables:
+            for record in records:
+                flattened = dict(meta)
+                flattened["cell"] = _dumps_strict(record["key"])
+                flattened["row_index"] = record["index"]
+                for column, value in record["row"].items():
+                    if column not in seen["rows"]:
+                        seen["rows"].add(column)
+                        columns["rows"].append(column)
+                    flattened[column] = _json_cell(value)
+                tables["rows"].append(flattened)
+        if "spans" not in tables and "metrics" not in tables:
+            continue
         for event in read_events(os.path.join(run_dir, TELEMETRY_NAME)):
             kind = event.get("kind")
-            if kind == "span":
+            if kind == "span" and "spans" in tables:
                 span_row: Dict[str, Any] = {
                     "experiment": name, "run_id": run_id,
                     "span_id": event.get("id"),
@@ -192,149 +205,110 @@ def mount_store(root: str,
                 for key, value in event.items():
                     if key in _SPAN_EVENT_KEYS:
                         continue
-                    if key not in span_seen:
-                        span_seen.add(key)
-                        span_columns.append(key)
-                    if isinstance(value, (dict, list)):
-                        value = json.dumps(value, sort_keys=True,
-                                           allow_nan=False)
-                    span_row[key] = value
-                spans_table.append(span_row)
-            elif kind in ("counter", "gauge"):
-                value = event.get("value")
-                if isinstance(value, (dict, list)):
-                    value = json.dumps(value, sort_keys=True,
-                                       allow_nan=False)
-                metrics_table.append({
+                    if key not in seen["spans"]:
+                        seen["spans"].add(key)
+                        columns["spans"].append(key)
+                    span_row[key] = _json_cell(value)
+                tables["spans"].append(span_row)
+            elif kind in ("counter", "gauge") and "metrics" in tables:
+                tables["metrics"].append({
                     "experiment": name, "run_id": run_id,
                     "kind": kind, "name": event.get("name"),
                     "t": event.get("t"),
-                    "delta": event.get("delta"), "value": value,
+                    "delta": event.get("delta"),
+                    "value": _json_cell(event.get("value")),
                 })
-    return MountedStore(
-        tables={"rows": rows_table, "runs": runs_table,
-                "spans": spans_table, "metrics": metrics_table},
-        columns={"rows": row_columns, "runs": list(RUNS_COLUMNS),
-                 "spans": span_columns,
-                 "metrics": list(METRICS_COLUMNS)},
-        experiments=experiments)
+    return MountedStore(tables=tables, columns=columns,
+                        experiments=experiments, views=views)
 
 
-# ----------------------------------------------------------------------
-# DuckDB engine.
-# ----------------------------------------------------------------------
-def _duckdb_type(values: Sequence[Any]) -> str:
-    kinds = set()
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            kinds.add("BOOLEAN")
-        elif isinstance(value, int):
-            kinds.add("BIGINT")
-        elif isinstance(value, float):
-            kinds.add("DOUBLE")
-        else:
-            return "VARCHAR"
-    if not kinds:
-        return "VARCHAR"
-    if kinds == {"BIGINT", "DOUBLE"}:
-        return "DOUBLE"
-    if len(kinds) > 1:
-        return "VARCHAR"
-    return kinds.pop()
+def _quote(identifier: str) -> str:
+    return '"' + identifier.replace('"', '""') + '"'
 
 
-def _duckdb_cell(value: Any, declared: str) -> Any:
-    if value is None or declared != "VARCHAR" or isinstance(value, str):
-        return value
-    return json.dumps(value, sort_keys=True, allow_nan=False)
+def _sql_names(columns: List[str]) -> List[str]:
+    """Column names unique under SQL's case-insensitive matching."""
+    taken = set()
+    out = []
+    for column in columns:
+        name, k = column, 2
+        while name.lower() in taken:
+            name, k = f"{column}_{k}", k + 1
+        taken.add(name.lower())
+        out.append(name)
+    return out
 
 
-def _run_duckdb(store: MountedStore, sql: str) -> QueryResult:
-    import duckdb
+def _load_table(connection: Any, table: str, columns: List[str],
+                rows: List[Dict[str, Any]]) -> None:
+    """Create ``table`` and insert ``rows``, grouped by their key set."""
+    groups: Dict[Tuple[str, ...], List[Tuple[Any, ...]]] = {}
+    for row in rows:
+        groups.setdefault(tuple(row), []).append(tuple(row.values()))
+    kinds: Dict[str, set] = {column: set() for column in columns}
+    for keys, values in groups.items():
+        for key, column in zip(keys, zip(*values)):
+            kinds[key].update(map(type, column))
+    sql_name = dict(zip(columns, _sql_names(columns)))
+    declared = []
+    for column in columns:
+        kinds[column].discard(type(None))
+        # Untyped columns keep ints as ints; only an all-bool column is
+        # declared, so its converter hands booleans back.
+        declared.append(_quote(sql_name[column]) +
+                        (" BOOLEAN" if kinds[column] == {bool} else ""))
+    connection.execute(
+        f"CREATE TABLE {_quote(table)} ({', '.join(declared)})")
+    for keys, values in groups.items():
+        connection.executemany(
+            f"INSERT INTO {_quote(table)} "
+            f"({', '.join(_quote(sql_name[key]) for key in keys)}) "
+            f"VALUES ({', '.join('?' for _ in keys)})", values)
 
-    connection = _duckdb_connection(store)
-    try:
-        cursor = connection.execute(sql)
-        columns = [entry[0] for entry in cursor.description]
-        rows = [tuple(row) for row in cursor.fetchall()]
-    except duckdb.Error as error:
-        raise QueryError(f"duckdb rejected the query: {error}") from error
-    finally:
-        connection.close()
-    return QueryResult(columns=columns, rows=rows, engine="duckdb")
 
+def _connect(store: MountedStore) -> Any:
+    import sqlite3
 
-def _duckdb_connection(store: MountedStore):
-    import duckdb
-
-    connection = duckdb.connect(":memory:")
-    for table, columns in store.columns.items():
-        rows = store.tables[table]
-        types = {column: _duckdb_type([row.get(column) for row in rows])
-                 for column in columns}
-        declaration = ", ".join(f'"{column}" {types[column]}'
-                                for column in columns)
-        connection.execute(f"CREATE TABLE {table} ({declaration})")
-        if rows:
-            placeholders = ", ".join("?" for _ in columns)
-            connection.executemany(
-                f"INSERT INTO {table} VALUES ({placeholders})",
-                [tuple(_duckdb_cell(row.get(column), types[column])
-                       for column in columns) for row in rows])
-    for name in store.experiments:
-        if _IDENTIFIER_RE.match(name) and \
-                name.lower() not in _RESERVED_TABLES:
+    sqlite3.register_converter("BOOLEAN", lambda raw: raw != b"0")
+    connection = sqlite3.connect(":memory:",
+                                 detect_types=sqlite3.PARSE_DECLTYPES)
+    with connection:
+        for table, rows in store.tables.items():
+            _load_table(connection, table, store.columns[table], rows)
+        for name in store.views:  # vetted identifiers
             connection.execute(
                 f'CREATE VIEW "{name}" AS SELECT * FROM rows '
-                f"WHERE experiment = '{name}'")  # vetted identifier
+                f"WHERE experiment = '{name}'")
+    # Queries read the mounted store; they never write or attach files.
+    connection.execute("PRAGMA query_only = ON")
+    connection.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, 0)
     return connection
 
 
-def _run_fallback(store: MountedStore, sql: str) -> QueryResult:
-    from repro.results.minisql import MiniSQLError, execute
-
-    tables = dict(store.tables)
-    columns = dict(store.columns)
-    for name in store.experiments:
-        if _IDENTIFIER_RE.match(name) and \
-                name.lower() not in {key.lower() for key in tables}:
-            tables[name] = [row for row in store.tables["rows"]
-                            if row.get("experiment") == name]
-            columns[name] = store.columns["rows"]
-    try:
-        labels, rows = execute(sql, tables, columns)
-    except MiniSQLError as error:
-        raise QueryError(str(error)) from error
-    return QueryResult(columns=labels, rows=rows, engine="fallback")
-
-
-def resolve_engine(engine: str = "auto") -> str:
-    """Pick the concrete engine for a requested engine name."""
-    if engine not in ("auto", "duckdb", "fallback"):
-        raise QueryError(f"unknown query engine {engine!r}; "
-                         f"choose auto, duckdb or fallback")
-    if engine == "duckdb" and not duckdb_ok():
-        raise QueryError("duckdb is not installed; install the "
-                         "'analytics' extra or use --engine fallback")
-    if engine == "auto":
-        return "duckdb" if duckdb_ok() else "fallback"
-    return engine
-
-
-def query_store(store: MountedStore, sql: str,
-                engine: str = "auto") -> QueryResult:
+def query_store(store: MountedStore, sql: str) -> QueryResult:
     """Execute SQL against an already-mounted store."""
-    resolved = resolve_engine(engine)
-    if resolved == "duckdb":
-        return _run_duckdb(store, sql)
-    return _run_fallback(store, sql)
+    import sqlite3
+
+    try:
+        connection = _connect(store)
+    except OverflowError as error:
+        raise QueryError(f"cannot mount the store: {error} (SQLite "
+                         f"integers are 64-bit)") from error
+    try:
+        cursor = connection.execute(sql)
+        columns = [entry[0] for entry in cursor.description or ()]
+        rows = cursor.fetchall()
+    except (sqlite3.Error, sqlite3.Warning) as error:
+        raise QueryError(f"sqlite rejected the query: {error}") from error
+    finally:
+        connection.close()
+    return QueryResult(columns=columns, rows=rows)
 
 
-def run_query(root: str, sql: str, engine: str = "auto") -> QueryResult:
-    """Mount every run under ``root`` and execute one query."""
-    return query_store(mount_store(root), sql, engine=engine)
+def run_query(root: str, sql: str) -> QueryResult:
+    """Mount the tables ``sql`` names under ``root`` and execute it."""
+    names = {word.lower() for word in _WORD_RE.findall(sql)}
+    return query_store(mount_store(root, names=names), sql)
 
 
 __all__ = [
@@ -345,9 +319,7 @@ __all__ = [
     "ROW_META_COLUMNS",
     "RUNS_COLUMNS",
     "SPAN_META_COLUMNS",
-    "duckdb_ok",
     "mount_store",
     "query_store",
-    "resolve_engine",
     "run_query",
 ]

@@ -31,8 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.results.columnar import records_to_rows
-from repro.results.store import latest_run, read_manifest, scan_runs
+from repro.results.store import latest_run, load_run, scan_runs
 from repro.telemetry import TELEMETRY_NAME, read_events
 
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
@@ -124,14 +123,12 @@ def build_report(root: str, experiment: str,
         telemetry_events.extend(read_events(
             os.path.join(run_dir, TELEMETRY_NAME)))
         health = manifest.get("run_health") or {}
-        columnar = manifest.get("columnar") or {}
         runs_section.append({
             "run_id": run_id,
             "seed": manifest.get("seed"),
             "completed": bool(manifest.get("completed")),
             "rows": len(records),
             "backend": manifest.get("backend"),
-            "columnar": columnar.get("codec"),
             "wall_time_seconds": manifest.get("wall_time_seconds"),
             "health_failures": len(health.get("failures", []) or []),
         })
@@ -174,12 +171,8 @@ def build_report(root: str, experiment: str,
     if registered is not None and registered.finalize is not None:
         newest = latest_run(root, name)
         if newest is not None:
-            manifest = read_manifest(newest)
-            from repro.results.columnar import read_records
-
-            records, _ = read_records(newest)
-            finalizers = registered.finalize(records_to_rows(records),
-                                             manifest["params"])
+            manifest, rows = load_run(newest)
+            finalizers = registered.finalize(rows, manifest["params"])
     from repro.telemetry.timing import cell_timing_rows
 
     timing = cell_timing_rows(telemetry_events, percentiles=percentiles)

@@ -1,14 +1,15 @@
-"""Query-layer tests: mounting, the fallback engine, engine selection."""
+"""Query-layer tests: mounting, lazy table loading, the sqlite engine."""
 
 import json
+import os
 
 import pytest
 
 from repro.experiments import get_experiment
-from repro.results import RunStore
-from repro.results.minisql import MiniSQLError, execute
-from repro.results.query import (QueryError, duckdb_ok, mount_store,
-                                 query_store, resolve_engine, run_query)
+from repro.results import RunStore, load_run
+from repro.results.query import (SPAN_META_COLUMNS, MountedStore,
+                                 QueryError, mount_store, query_store,
+                                 run_query)
 
 PEOPLE = [
     {"name": "ada", "team": "a", "score": 3, "bonus": None},
@@ -16,7 +17,14 @@ PEOPLE = [
     {"name": "cyd", "team": "a", "score": 2, "bonus": None},
     {"name": "dee", "team": "b", "score": 4, "bonus": 0.5},
 ]
-TABLES = {"people": PEOPLE}
+PEOPLE_COLUMNS = ["name", "team", "score", "bonus"]
+
+
+def _people(sql, columns=PEOPLE_COLUMNS):
+    store = MountedStore(tables={"people": PEOPLE},
+                         columns={"people": list(columns)})
+    result = query_store(store, sql)
+    return result.columns, result.rows
 
 
 def _store_with_runs(tmp_path, seeds=(1, 2)):
@@ -30,75 +38,97 @@ def _store_with_runs(tmp_path, seeds=(1, 2)):
     return str(tmp_path)
 
 
-class TestMiniSQL:
+class TestSQL:
     def test_select_where_order(self):
-        columns, rows = execute(
+        columns, rows = _people(
             "SELECT name, score FROM people WHERE team = 'a' "
-            "ORDER BY score DESC", TABLES)
+            "ORDER BY score DESC")
         assert columns == ["name", "score"]
         assert rows == [("ada", 3), ("cyd", 2)]
 
-    def test_select_star_uses_first_seen_columns(self):
-        columns, rows = execute("SELECT * FROM people LIMIT 1", TABLES)
+    def test_select_star_uses_declared_columns(self):
+        columns, rows = _people("SELECT * FROM people LIMIT 1")
         assert columns == ["name", "team", "score", "bonus"]
         assert rows == [("ada", "a", 3, None)]
 
     def test_group_by_aggregates(self):
-        columns, rows = execute(
+        columns, rows = _people(
             "SELECT team, COUNT(*) AS n, SUM(score) AS total, "
             "AVG(score) AS mean, MIN(score) AS lo, MAX(score) AS hi "
-            "FROM people GROUP BY team ORDER BY team", TABLES)
+            "FROM people GROUP BY team ORDER BY team")
         assert columns == ["team", "n", "total", "mean", "lo", "hi"]
         assert rows == [("a", 2, 5, 2.5, 2, 3), ("b", 2, 5, 2.5, 1, 4)]
 
     def test_global_aggregate_and_count_skips_nulls(self):
-        _, rows = execute(
+        _, rows = _people(
             "SELECT COUNT(*) AS all_rows, COUNT(bonus) AS with_bonus "
-            "FROM people", TABLES)
+            "FROM people")
         assert rows == [(4, 2)]
 
     def test_is_null_in_and_boolean_logic(self):
-        _, rows = execute(
+        _, rows = _people(
             "SELECT name FROM people WHERE bonus IS NULL "
-            "AND (team IN ('a', 'c') OR score > 10) ORDER BY name",
-            TABLES)
+            "AND (team IN ('a', 'c') OR score > 10) ORDER BY name")
         assert rows == [("ada",), ("cyd",)]
-        _, rows = execute(
+        _, rows = _people(
             "SELECT name FROM people WHERE NOT bonus IS NULL "
-            "ORDER BY name", TABLES)
+            "ORDER BY name")
         assert rows == [("bob",), ("dee",)]
 
     def test_distinct_and_limit(self):
-        _, rows = execute(
-            "SELECT DISTINCT team FROM people ORDER BY team LIMIT 1",
-            TABLES)
+        _, rows = _people(
+            "SELECT DISTINCT team FROM people ORDER BY team LIMIT 1")
         assert rows == [("a",)]
 
-    def test_nulls_sort_last(self):
-        _, rows = execute(
-            "SELECT name, bonus FROM people ORDER BY bonus, name", TABLES)
-        assert [row[0] for row in rows] == ["dee", "bob", "ada", "cyd"]
+    def test_nulls_sort_first_ascending(self):
+        # SQLite's order: NULLs first under ASC, last under DESC.
+        _, rows = _people(
+            "SELECT name, bonus FROM people ORDER BY bonus, name")
+        assert [row[0] for row in rows] == ["ada", "cyd", "dee", "bob"]
+        _, rows = _people(
+            "SELECT name FROM people ORDER BY bonus DESC, name")
+        assert [row[0] for row in rows] == ["bob", "dee", "ada", "cyd"]
 
     def test_missing_column_reads_as_null(self):
-        # Mounted stores are heterogeneous (the rows table is the union
-        # of every experiment's columns), so an absent column is NULL,
-        # not an error.
-        _, rows = execute(
+        # Mounted tables are heterogeneous (the rows table is the union
+        # of every experiment's columns), so a column a row lacks is
+        # NULL, not an error.
+        _, rows = _people(
             "SELECT name FROM people WHERE missing IS NULL LIMIT 1",
-            TABLES)
+            columns=PEOPLE_COLUMNS + ["missing"])
         assert rows == [("ada",)]
 
+    def test_value_types_survive(self):
+        store = MountedStore(
+            tables={"t": [{"flag": True, "mixed": 1, "count": 7},
+                          {"flag": False, "mixed": True, "count": None}]},
+            columns={"t": ["flag", "mixed", "count"]})
+        rows = query_store(store, "SELECT * FROM t").rows
+        # An all-bool column reads back as bools; ints stay ints.
+        assert rows == [(True, 1, 7), (False, 1, None)]
+        assert type(rows[0][0]) is bool and type(rows[0][2]) is int
+
     @pytest.mark.parametrize("sql,message", [
-        ("SELECT name FROM nowhere", "unknown table"),
-        ("DELETE FROM people", "SELECT"),
-        ("SELECT name FROM people WHERE COUNT(*) > 1", "WHERE"),
-        ("SELECT name, COUNT(*) FROM people", "GROUP BY"),
-        ("SELECT name FROM people ORDER BY bonus", "ORDER BY"),
-        ("SELECT name FROM people; DROP TABLE people", "tokenize"),
+        ("SELECT name FROM nowhere", "no such table"),
+        ("SELECT FROM WHERE", "syntax error"),
+        ("DELETE FROM people", "readonly"),
+        ("SELECT name FROM people; DROP TABLE people", "one statement"),
     ])
-    def test_rejections_carry_a_hint(self, sql, message):
-        with pytest.raises(MiniSQLError, match=message):
-            execute(sql, TABLES)
+    def test_rejections_are_query_errors(self, sql, message):
+        with pytest.raises(QueryError, match=message):
+            _people(sql)
+
+    def test_integer_beyond_64_bits_is_a_query_error(self):
+        store = MountedStore(tables={"t": [{"seed": 2 ** 64}]},
+                             columns={"t": ["seed"]})
+        with pytest.raises(QueryError, match="64-bit"):
+            query_store(store, "SELECT seed FROM t")
+
+    def test_attach_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(QueryError, match="attached"):
+            _people("ATTACH 'other.db' AS other")
+        assert not os.path.exists(tmp_path / "other.db")
 
 
 class TestMountStore:
@@ -106,10 +136,12 @@ class TestMountStore:
         root = _store_with_runs(tmp_path)
         store = mount_store(root)
         assert store.experiments == ["E8"]
-        assert len(store.tables["runs"]) == 2
+        assert store.views == ["E8"]
+        assert sorted(store.tables) == ["metrics", "rows", "runs", "spans"]
         runs = store.tables["runs"]
+        assert len(runs) == 2
         assert all(run["row_count"] == 4 for run in runs)
-        assert all(run["columnar_codec"] is not None for run in runs)
+        assert all("columnar_codec" not in run for run in runs)
         rows = store.tables["rows"]
         assert len(rows) == 8
         first = rows[0]
@@ -129,14 +161,61 @@ class TestMountStore:
             store = mount_store(root)
         assert len(store.tables["runs"]) == 1
 
+    def test_only_named_tables_are_mounted(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        store = mount_store(root, names={"select", "count", "from",
+                                         "runs"})
+        assert sorted(store.tables) == ["runs"]
+        assert store.views == []
+        with pytest.raises(QueryError, match="no such table"):
+            query_store(store, "SELECT * FROM rows")
 
-class TestFallbackEngine:
+    def test_runs_query_never_reads_telemetry(self, tmp_path,
+                                              monkeypatch):
+        import repro.results.query as query
+
+        root = _store_with_runs(tmp_path, seeds=(1,))
+
+        def exploding(path):
+            raise AssertionError(f"telemetry read for a runs query: {path}")
+
+        monkeypatch.setattr(query, "read_events", exploding)
+        result = run_query(root, "SELECT row_count FROM runs")
+        assert result.rows == [(4,)]
+        with pytest.raises(AssertionError, match="telemetry read"):
+            run_query(root, "SELECT * FROM spans")
+
+    def test_experiment_view_mounts_rows(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        store = mount_store(root, names={"select", "from", "e8"})
+        assert sorted(store.tables) == ["rows"]
+        assert store.views == ["E8"]
+        result = query_store(store, "SELECT * FROM E8")
+        assert len(result.rows) == 1  # the E8-talagrand rows are not E8
+        assert result.columns[:2] == ["experiment", "run_id"]
+
+    def test_alias_word_only_mounts_an_extra_table(self, tmp_path):
+        root = _store_with_runs(tmp_path)
+        aliased = run_query(root, "SELECT COUNT(*) AS rows FROM runs")
+        plain = run_query(root, "SELECT COUNT(*) AS n FROM runs")
+        assert aliased.rows == plain.rows == [(2,)]
+        assert "rows" in mount_store(
+            root, names={"select", "count", "as", "rows", "from",
+                         "runs"}).tables
+
+    def test_named_table_without_telemetry_is_empty(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        result = run_query(root, "SELECT * FROM spans")
+        assert result.columns == list(SPAN_META_COLUMNS)
+        assert result.rows == []
+
+
+class TestRunQuery:
     def test_run_query_end_to_end(self, tmp_path):
         root = _store_with_runs(tmp_path)
         result = run_query(
             root, "SELECT seed, COUNT(*) AS n FROM rows "
-                  "GROUP BY seed ORDER BY seed", engine="fallback")
-        assert result.engine == "fallback"
+                  "GROUP BY seed ORDER BY seed")
         assert result.columns == ["seed", "n"]
         assert result.rows == [(1, 4), (2, 4)]
         assert result.as_dicts()[0] == {"seed": 1, "n": 4}
@@ -144,26 +223,41 @@ class TestFallbackEngine:
     def test_experiment_pseudo_table(self, tmp_path):
         root = _store_with_runs(tmp_path, seeds=(1,))
         result = run_query(
-            root, "SELECT n, success_probability FROM E8 WHERE n = 50",
-            engine="fallback")
+            root, "SELECT n, success_probability FROM E8 WHERE n = 50")
         assert len(result.rows) == 1
+        assert result.rows[0][0] == 50
+
+    def test_case_colliding_columns_both_readable(self, tmp_path):
+        # E8 rows carry the paper's two constants, c and C; SQL names
+        # are case-insensitive, so C mounts as C_2.
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        _, rows = load_run(os.path.join(root, "E8",
+                                        os.listdir(os.path.join(root,
+                                                                "E8"))[0]))
+        expected = [(row["c"], row["C"]) for row in rows
+                    if row["experiment"] == "E8"]
+        result = run_query(root, "SELECT c, C_2 FROM E8")
+        assert result.columns == ["c", "C_2"]
+        assert result.rows == expected
+        assert expected[0][0] != expected[0][1]
+
+    def test_completed_reads_back_as_bool(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        result = run_query(root, "SELECT completed FROM runs")
+        assert result.rows == [(True,)]
+        assert type(result.rows[0][0]) is bool
+
+    def test_sql_breadth(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        result = run_query(
+            root, "SELECT r.n FROM E8 AS r JOIN runs USING (run_id) "
+                  "WHERE runs.completed ORDER BY r.n LIMIT 1")
         assert result.rows[0][0] == 50
 
     def test_bad_sql_raises_query_error(self, tmp_path):
         root = _store_with_runs(tmp_path, seeds=(1,))
-        with pytest.raises(QueryError, match="analytics"):
-            run_query(root, "SELECT frobnicate(", engine="fallback")
-
-    def test_engine_resolution(self):
-        with pytest.raises(QueryError, match="unknown query engine"):
-            resolve_engine("sqlite")
-        assert resolve_engine("fallback") == "fallback"
-        if duckdb_ok():
-            assert resolve_engine("auto") == "duckdb"
-        else:
-            assert resolve_engine("auto") == "fallback"
-            with pytest.raises(QueryError, match="not installed"):
-                resolve_engine("duckdb")
+        with pytest.raises(QueryError, match="sqlite rejected"):
+            run_query(root, "SELECT frobnicate(")
 
 
 class TestQueryCLI:
@@ -187,6 +281,7 @@ class TestQueryCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["columns"] == ["run_id", "row_count"]
         assert payload["rows"][0][1] == 4
+        assert "engine" not in payload
 
     def test_query_csv_output(self, tmp_path, capsys):
         from repro.cli import main
@@ -201,33 +296,5 @@ class TestQueryCLI:
         from repro.cli import main
 
         root = _store_with_runs(tmp_path, seeds=(1,))
-        assert main(["query", "EXPLODE please", "--out", root,
-                     "--engine", "fallback"]) == 2
+        assert main(["query", "EXPLODE please", "--out", root]) == 2
         assert "repro query" in capsys.readouterr().err
-
-
-@pytest.mark.skipif(not duckdb_ok(), reason="duckdb not installed")
-class TestDuckDBEngine:
-    def test_matches_fallback_on_shared_subset(self, tmp_path):
-        root = _store_with_runs(tmp_path)
-        store = mount_store(root)
-        sql = ("SELECT seed, COUNT(*) AS n FROM rows "
-               "GROUP BY seed ORDER BY seed")
-        duck = query_store(store, sql, engine="duckdb")
-        fallback = query_store(store, sql, engine="fallback")
-        assert duck.engine == "duckdb"
-        assert duck.columns == fallback.columns
-        assert [tuple(row) for row in duck.rows] == fallback.rows
-
-    def test_experiment_view_and_sql_breadth(self, tmp_path):
-        root = _store_with_runs(tmp_path, seeds=(1,))
-        result = run_query(
-            root, "SELECT r.n FROM E8 AS r JOIN runs USING (run_id) "
-                  "WHERE runs.completed ORDER BY r.n LIMIT 1",
-            engine="duckdb")
-        assert result.rows[0][0] == 50
-
-    def test_bad_sql_raises_query_error(self, tmp_path):
-        root = _store_with_runs(tmp_path, seeds=(1,))
-        with pytest.raises(QueryError, match="duckdb rejected"):
-            run_query(root, "SELECT FROM WHERE", engine="duckdb")

@@ -168,9 +168,9 @@ class TestResume:
                               store=rerun_store) == reference
         assert executed == []
 
-    def test_resume_sees_rows_written_after_compaction(self, tmp_path):
-        # The columnar copy must never feed resume: only rows.jsonl can,
-        # or rows appended after the last compaction would recompute.
+    def test_resume_sees_rows_written_after_finish(self, tmp_path):
+        # A finished run reopened for more cells resumes from every row
+        # in rows.jsonl, including rows appended after finish().
         experiment = get_experiment("E8")
         params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
         store = RunStore.open(str(tmp_path), "E8", params)
@@ -281,7 +281,7 @@ class TestNonFiniteCanonicalization:
         assert store.manifest["params"]["threshold"] is None
 
     def test_loader_rejects_raw_nan_lines_loudly(self, tmp_path):
-        from repro.results.columnar import NonFiniteRowError
+        from repro.results.store import NonFiniteRowError
 
         params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
         store = RunStore.open(str(tmp_path), "E8", params)
