@@ -6,10 +6,10 @@ import os
 import pytest
 
 from repro.experiments import get_experiment
-from repro.results import RunStore, load_run
+from repro.results import RunStore, load_run, scan_runs
 from repro.results.query import (SPAN_META_COLUMNS, MountedStore,
-                                 QueryError, mount_store, query_store,
-                                 run_query)
+                                 QueryError, _sql_names, mount_store,
+                                 query_store, run_query)
 
 PEOPLE = [
     {"name": "ada", "team": "a", "score": 3, "bonus": None},
@@ -108,10 +108,22 @@ class TestSQL:
         assert rows == [(True, 1, 7), (False, 1, None)]
         assert type(rows[0][0]) is bool and type(rows[0][2]) is int
 
+    def test_int_float_column_does_not_promote(self):
+        # "p" holds 0.5 in one row and the int 1 in another; a column
+        # typed REAL would hand the int back as 1.0.
+        store = MountedStore(tables={"t": [{"p": 0.5}, {"p": 1}]},
+                             columns={"t": ["p"]})
+        rows = query_store(store, "SELECT p FROM t").rows
+        assert rows == [(0.5,), (1,)]
+        assert type(rows[1][0]) is int
+
     @pytest.mark.parametrize("sql,message", [
         ("SELECT name FROM nowhere", "no such table"),
         ("SELECT FROM WHERE", "syntax error"),
         ("DELETE FROM people", "readonly"),
+        ("INSERT INTO people (name) VALUES ('eve')", "readonly"),
+        ("UPDATE people SET score = 0", "readonly"),
+        ("CREATE TABLE scratch (a)", "readonly"),
         ("SELECT name FROM people; DROP TABLE people", "one statement"),
     ])
     def test_rejections_are_query_errors(self, sql, message):
@@ -258,6 +270,57 @@ class TestRunQuery:
         root = _store_with_runs(tmp_path, seeds=(1,))
         with pytest.raises(QueryError, match="sqlite rejected"):
             run_query(root, "SELECT frobnicate(")
+
+
+class TestMountedRowsMatchJsonl:
+    """Every row a query reads back equals the stored jsonl record."""
+
+    def _mixed_store(self, tmp_path):
+        root = _store_with_runs(tmp_path)
+        experiment = get_experiment("E3")
+        params = experiment.resolve_params(
+            {"ns": (8,), "samples": 2, "separation_trials": 2, "seed": 7})
+        store = RunStore.open(root, "E3", params, workers=0)
+        experiment.run(params=params, store=store)
+        store.finish(wall_time=0.1)
+        return root
+
+    def test_rows_table_matches_every_stored_record(self, tmp_path):
+        root = self._mixed_store(tmp_path)
+        store = mount_store(root)
+        columns = store.columns["rows"]
+        names = _sql_names(columns)
+        result = run_query(root, "SELECT * FROM rows")
+        assert result.columns == names
+        mounted = {(row[columns.index("run_id")],
+                    row[columns.index("row_index")]): row
+                   for row in result.rows}
+        compared = 0
+        for run_dir, _, records in scan_runs(root):
+            run_id = os.path.basename(run_dir)
+            for record in records:
+                row = mounted[(run_id, record["index"])]
+                assert json.loads(row[columns.index("cell")]) == \
+                    record["key"]
+                for column, value in record["row"].items():
+                    cell = row[columns.index(column)]
+                    if isinstance(value, (dict, list)):
+                        cell = json.loads(cell)
+                    assert cell == value and type(cell) is type(value), \
+                        (run_id, record["index"], column)
+                compared += 1
+        assert compared == len(mounted) > 0
+
+    def test_experiment_views_partition_rows(self, tmp_path):
+        root = self._mixed_store(tmp_path)
+        total = run_query(root, "SELECT COUNT(*) FROM rows").rows[0][0]
+        per_view = [run_query(root, f"SELECT COUNT(*) FROM {name}")
+                    .rows[0][0] for name in ("E3", "E8")]
+        others = run_query(
+            root, "SELECT COUNT(*) FROM rows "
+                  "WHERE experiment NOT IN ('E3', 'E8')").rows[0][0]
+        assert all(count > 0 for count in per_view)
+        assert sum(per_view) + others == total
 
 
 class TestQueryCLI:

@@ -9,6 +9,8 @@ import repro.experiments.base as base
 from repro.experiments import get_experiment
 from repro.results import (RunStore, latest_run, list_runs, load_run,
                            params_digest, run_directory)
+from repro.results.store import (NonFiniteRowError, parse_record_line,
+                                 read_jsonl_records, records_to_rows)
 
 E2_PARAMS = {"ns": (12, 16), "trials": 1, "max_windows": 200000,
              "use_resets": True, "seed": 9}
@@ -194,6 +196,30 @@ class TestResume:
         # And the resumed run completes the table without the torn cell.
         assert experiment.run(params=params, store=reopened) == rows
 
+    def test_kill_read_resume_matches_uninterrupted_run(self, tmp_path):
+        """kill -> read the partial run -> resume == uninterrupted run."""
+        experiment = get_experiment("E2")
+        params = _resolved("E2", E2_PARAMS)
+        reference = experiment.run(params=params, workers=0)
+
+        path = run_directory(str(tmp_path), "E2", params)
+        killed = _KillAfter(path, "E2", params, kill_after=1)
+        with pytest.raises(KeyboardInterrupt):
+            experiment.run(params=params, workers=0, store=killed)
+        # A reader (show, report, query) looks at the partial run before
+        # anyone resumes; reading must not disturb what resume sees.
+        _, partial = load_run(path)
+        assert partial == killed.rows()
+
+        resumed = RunStore.open(str(tmp_path), "E2", params, workers=0)
+        rows = experiment.run(params=params, workers=0, store=resumed)
+        resumed.finish(wall_time=0.2)
+        assert rows == reference
+        records = read_jsonl_records(os.path.join(path, "rows.jsonl"))
+        assert records_to_rows(records) == resumed.rows()
+        keys = [json.dumps(record["key"]) for record in records]
+        assert len(keys) == len(set(keys))
+
 
 class TestManifestDebounce:
     def _store(self, tmp_path):
@@ -281,8 +307,6 @@ class TestNonFiniteCanonicalization:
         assert store.manifest["params"]["threshold"] is None
 
     def test_loader_rejects_raw_nan_lines_loudly(self, tmp_path):
-        from repro.results.store import NonFiniteRowError
-
         params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
         store = RunStore.open(str(tmp_path), "E8", params)
         store.write_row(0, ["cell"], {"n": 1})
@@ -293,6 +317,79 @@ class TestNonFiniteCanonicalization:
         # silently drop on resume.
         with pytest.raises(NonFiniteRowError):
             RunStore.open(str(tmp_path), "E8", params)
+
+
+def _write_records(rows_path, records):
+    with open(rows_path, "w") as handle:
+        for record in records:
+            handle.write(json.dumps(record, allow_nan=False) + "\n")
+
+
+def _synthetic_records():
+    # Mixed shapes, mixed types, null-vs-missing and divergent key order.
+    return [
+        {"index": 0, "key": ["a", 1], "row": {"n": 5, "p": 0.5, "ok": True}},
+        {"index": 1, "key": ["a", 2], "row": {"p": 0.25, "n": 6, "ok": False}},
+        {"index": 2, "key": ["b", 1], "row": {"n": 7, "extra": None}},
+        {"index": 3, "key": ["b", 2],
+         "row": {"n": 8, "nested": {"z": 1, "a": [1, 2]}, "label": "x"}},
+        {"index": 4, "key": ["c"], "row": {"n": 9, "p": 1}},  # int, not float
+    ]
+
+
+class TestJsonlRecords:
+    def test_roundtrip_is_bit_identical(self, tmp_path):
+        records = _synthetic_records()
+        rows_path = str(tmp_path / "rows.jsonl")
+        _write_records(rows_path, records)
+        decoded = read_jsonl_records(rows_path)
+        assert decoded == records
+        # Key order inside each row survives, not just dict equality,
+        # and ints never come back as floats.
+        assert [list(record["row"]) for record in decoded] == \
+            [list(record["row"]) for record in records]
+        assert type(decoded[4]["row"]["p"]) is int
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_line_raises_instead_of_dropping(self, tmp_path,
+                                                        token):
+        rows_path = str(tmp_path / "rows.jsonl")
+        with open(rows_path, "w") as handle:
+            handle.write('{"index": 0, "key": ["a"], '
+                         '"row": {"x": [1, %s]}}\n' % token)
+        with pytest.raises(NonFiniteRowError, match=token):
+            read_jsonl_records(rows_path)
+
+    def test_torn_lines_still_skipped(self, tmp_path):
+        records = _synthetic_records()
+        rows_path = str(tmp_path / "rows.jsonl")
+        _write_records(rows_path, records[:2])
+        with open(rows_path, "a") as handle:
+            handle.write('{"index": 9, "key": ["torn"\n\n')
+            handle.write(json.dumps(records[2], allow_nan=False) + "\n")
+        # The intact line after the torn one is recovered.
+        assert read_jsonl_records(rows_path) == records[:3]
+
+    def test_parse_record_line_tells_torn_from_non_finite(self):
+        assert parse_record_line('{"row": {"x": 1.5}}') == \
+            {"row": {"x": 1.5}}
+        with pytest.raises(json.JSONDecodeError):
+            parse_record_line('{"row": {"x": 1.5')
+        with pytest.raises(NonFiniteRowError):
+            parse_record_line('{"row": {"x": NaN}}')
+        # The shared decoder keeps working after a refusal.
+        assert parse_record_line('[1, 2]') == [1, 2]
+
+    def test_missing_rows_file_reads_as_empty(self, tmp_path):
+        assert read_jsonl_records(str(tmp_path / "rows.jsonl")) == []
+
+    def test_records_to_rows_orders_cells_and_keeps_last_write(self):
+        records = [
+            {"index": 1, "key": ["b"], "row": {"v": "b-old"}},
+            {"index": 0, "key": ["a"], "row": {"v": "a"}},
+            {"index": 1, "key": ["b"], "row": {"v": "b-new"}},
+        ]
+        assert records_to_rows(records) == [{"v": "a"}, {"v": "b-new"}]
 
 
 class TestStoreRobustness:
@@ -343,3 +440,51 @@ class TestStoreRobustness:
     def test_listing_a_missing_root_is_empty(self, tmp_path):
         assert list_runs(str(tmp_path / "nowhere")) == []
         assert latest_run(str(tmp_path / "nowhere"), "E8") is None
+
+
+class TestRowsJsonlIsTheOnlyFormat:
+    def _finished_run(self, tmp_path):
+        experiment = get_experiment("E8")
+        params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 3})
+        store = RunStore.open(str(tmp_path), "E8", params, workers=0)
+        experiment.run(params=params, store=store)
+        store.finish(wall_time=0.1)
+        return store, params
+
+    def test_finish_writes_no_row_copy(self, tmp_path):
+        store, _ = self._finished_run(tmp_path)
+        assert "columnar" not in store.manifest
+        assert sorted(os.listdir(store.path)) == \
+            ["manifest.json", "rows.jsonl"]
+        records = read_jsonl_records(os.path.join(store.path, "rows.jsonl"))
+        assert records_to_rows(records) == store.rows()
+
+    def test_stale_columnar_files_are_ignored(self, tmp_path):
+        from repro.results.query import run_query
+
+        store, params = self._finished_run(tmp_path)
+        # Leftovers from the retired columnar copy, now out of date.
+        (tmp_path / "E8" / os.path.basename(store.path) /
+         "rows.columns.json").write_text('{"codec": "json-columns"}\n{}\n')
+        (tmp_path / "E8" / os.path.basename(store.path) /
+         "rows.parquet").write_bytes(b"PAR1 not really")
+        store.write_row(99, ["extra-cell"], {"n": 1})
+        _, rows = load_run(store.path)
+        assert rows == store.rows()
+        assert run_query(str(tmp_path), "SELECT COUNT(*) FROM rows").rows \
+            == [(store.row_count,)]
+        assert RunStore.open(str(tmp_path), "E8", params).rows() == rows
+
+    def test_manifest_columnar_block_dropped_at_next_rewrite(self,
+                                                             tmp_path):
+        store, params = self._finished_run(tmp_path)
+        manifest_path = os.path.join(store.path, "manifest.json")
+        manifest = store.manifest
+        manifest["columnar"] = {"codec": "json-columns", "rows": 4,
+                                "source_digest": "0" * 64}
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle, allow_nan=False)
+        assert load_run(store.path)[1] == store.rows()
+        reopened = RunStore.open(str(tmp_path), "E8", params)
+        assert "columnar" not in reopened.manifest
+        assert reopened.rows() == store.rows()
