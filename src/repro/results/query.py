@@ -41,6 +41,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.results.store import scan_runs
@@ -98,7 +99,6 @@ class MountedStore:
 
     tables: Dict[str, List[Dict[str, Any]]]
     columns: Dict[str, List[str]]
-    experiments: List[str] = field(default_factory=list)
     views: List[str] = field(default_factory=list)
 
 
@@ -133,14 +133,13 @@ def mount_store(root: str, experiment: Optional[str] = None,
     are built.  ``None`` mounts everything.
     """
     runs = list(scan_runs(root, experiment=experiment))
-    experiments: List[str] = []
+    views: List[str] = []
     for _, manifest, _ in runs:
-        if manifest["experiment"] not in experiments:
-            experiments.append(manifest["experiment"])
-    views = [name for name in experiments
-             if _IDENTIFIER_RE.match(name) and
-             name.lower() not in _RESERVED_TABLES and
-             (names is None or name.lower() in names)]
+        name = manifest["experiment"]
+        if (name not in views and _IDENTIFIER_RE.match(name) and
+                name.lower() not in _RESERVED_TABLES and
+                (names is None or name.lower() in names)):
+            views.append(name)
 
     def wanted(table: str) -> bool:
         return names is None or table in names
@@ -218,8 +217,7 @@ def mount_store(root: str, experiment: Optional[str] = None,
                     "delta": event.get("delta"),
                     "value": _json_cell(event.get("value")),
                 })
-    return MountedStore(tables=tables, columns=columns,
-                        experiments=experiments, views=views)
+    return MountedStore(tables=tables, columns=columns, views=views)
 
 
 def _quote(identifier: str) -> str:
@@ -241,29 +239,35 @@ def _sql_names(columns: List[str]) -> List[str]:
 
 def _load_table(connection: Any, table: str, columns: List[str],
                 rows: List[Dict[str, Any]]) -> None:
-    """Create ``table`` and insert ``rows``, grouped by their key set."""
-    groups: Dict[Tuple[str, ...], List[Tuple[Any, ...]]] = {}
-    for row in rows:
-        groups.setdefault(tuple(row), []).append(tuple(row.values()))
+    """Create ``table`` and insert ``rows`` in order.
+
+    Neighbouring rows with the same key set go in as one batch, so the
+    rowid order (what a query without ORDER BY returns) is scan order.
+    """
+    groups = [(keys, [tuple(row.values()) for row in run])
+              for keys, run in groupby(rows, key=tuple)]
     kinds: Dict[str, set] = {column: set() for column in columns}
-    for keys, values in groups.items():
+    for keys, values in groups:
         for key, column in zip(keys, zip(*values)):
             kinds[key].update(map(type, column))
-    sql_name = dict(zip(columns, _sql_names(columns)))
+    quoted = dict(zip(columns, map(_quote, _sql_names(columns))))
     declared = []
     for column in columns:
         kinds[column].discard(type(None))
         # Untyped columns keep ints as ints; only an all-bool column is
         # declared, so its converter hands booleans back.
-        declared.append(_quote(sql_name[column]) +
+        declared.append(quoted[column] +
                         (" BOOLEAN" if kinds[column] == {bool} else ""))
     connection.execute(
         f"CREATE TABLE {_quote(table)} ({', '.join(declared)})")
-    for keys, values in groups.items():
-        connection.executemany(
-            f"INSERT INTO {_quote(table)} "
-            f"({', '.join(_quote(sql_name[key]) for key in keys)}) "
-            f"VALUES ({', '.join('?' for _ in keys)})", values)
+    inserts: Dict[Tuple[str, ...], str] = {}
+    for keys, values in groups:
+        if keys not in inserts:
+            inserts[keys] = (
+                f"INSERT INTO {_quote(table)} "
+                f"({', '.join(quoted[key] for key in keys)}) "
+                f"VALUES ({', '.join('?' * len(keys))})")
+        connection.executemany(inserts[keys], values)
 
 
 def _connect(store: MountedStore) -> Any:
@@ -281,7 +285,9 @@ def _connect(store: MountedStore) -> Any:
                 f"WHERE experiment = '{name}'")
     # Queries read the mounted store; they never write or attach files.
     connection.execute("PRAGMA query_only = ON")
-    connection.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, 0)
+    connection.set_authorizer(
+        lambda action, *_: sqlite3.SQLITE_DENY
+        if action == sqlite3.SQLITE_ATTACH else sqlite3.SQLITE_OK)
     return connection
 
 

@@ -138,7 +138,7 @@ class TestSQL:
 
     def test_attach_is_refused(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(QueryError, match="attached"):
+        with pytest.raises(QueryError, match="not authorized"):
             _people("ATTACH 'other.db' AS other")
         assert not os.path.exists(tmp_path / "other.db")
 
@@ -147,7 +147,6 @@ class TestMountStore:
     def test_tables_and_meta_columns(self, tmp_path):
         root = _store_with_runs(tmp_path)
         store = mount_store(root)
-        assert store.experiments == ["E8"]
         assert store.views == ["E8"]
         assert sorted(store.tables) == ["metrics", "rows", "runs", "spans"]
         runs = store.tables["runs"]
@@ -214,6 +213,30 @@ class TestMountStore:
         assert "rows" in mount_store(
             root, names={"select", "count", "as", "rows", "from",
                          "runs"}).tables
+
+    def test_unordered_select_returns_log_order(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        run_dir = next(scan_runs(root))[0]
+        # Span events carry different attribute sets; interleave them so
+        # batching rows by shape would reorder the table.
+        events = [
+            {"kind": "span", "id": 1, "parent": 0, "name": "trial-a",
+             "t0": 0.0, "dur": 0.1, "tag": ["E8", 1]},
+            {"kind": "span", "id": 0, "parent": None, "name": "cell-a",
+             "t0": 0.0, "dur": 0.2, "cell": ["E8"]},
+            {"kind": "counter", "name": "trials", "t": 0.2, "delta": 1},
+            {"kind": "span", "id": 2, "parent": 0, "name": "trial-b",
+             "t0": 0.2, "dur": 0.1, "tag": ["E8", 2]},
+            {"kind": "span", "id": 3, "parent": None, "name": "campaign",
+             "t0": 0.0, "dur": 0.5, "label": "quick"},
+            {"kind": "span", "id": 4, "parent": 3, "name": "cell-b",
+             "t0": 0.3, "dur": 0.1, "cell": ["E8"]},
+        ]
+        with open(os.path.join(run_dir, "telemetry.jsonl"), "w") as handle:
+            handle.writelines(json.dumps(event) + "\n" for event in events)
+        result = run_query(root, "SELECT name FROM spans")
+        assert [name for (name,) in result.rows] == [
+            "trial-a", "cell-a", "trial-b", "campaign", "cell-b"]
 
     def test_named_table_without_telemetry_is_empty(self, tmp_path):
         root = _store_with_runs(tmp_path, seeds=(1,))
