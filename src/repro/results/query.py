@@ -22,7 +22,9 @@
 
 Reading goes through :func:`repro.results.store.scan_runs`, so corrupt
 run directories are skipped with a warning instead of bricking every
-query.
+query.  ``rows.jsonl`` is read only when ``rows``, ``runs`` or an
+experiment view is mounted; a query over ``spans``/``metrics`` alone
+reads the manifests and event logs.
 
 :func:`run_query` executes the SQL with the standard library's
 ``sqlite3`` against an in-memory database that holds only the tables
@@ -42,7 +44,9 @@ import os
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import (Any, Callable, Collection, Dict, List, Mapping, Optional,
+                    Tuple)
 
 from repro.results.store import scan_runs
 from repro.telemetry import TELEMETRY_NAME, read_events
@@ -79,10 +83,27 @@ _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _RESERVED_TABLES = {"rows", "runs", "spans", "metrics"}
 
-#: Built once: ``json.dumps`` with keyword arguments builds a fresh
-#: encoder per call, which dominates mounting span attributes.
-_dumps_sorted = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
-_dumps_strict = json.JSONEncoder(allow_nan=False).encode
+
+def _strict_encoder(sort_keys: bool) -> Callable[[Any], str]:
+    """``JSONEncoder(sort_keys=..., allow_nan=False).encode``, built once.
+
+    ``encode`` builds a fresh C encoder on every call, which dominates
+    mounting container cells (span tags, cell keys); the reused one
+    writes the same text.  Stored values are parsed JSON, so they cannot
+    be circular and the cycle check is skipped.
+    """
+    encoder = json.JSONEncoder(sort_keys=sort_keys, allow_nan=False)
+    if c_make_encoder is None:  # no C accelerator
+        return encoder.encode
+    iterencode = c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, sort_keys, False,
+        False)
+    return lambda value: "".join(iterencode(value, 0))
+
+
+_dumps_sorted = _strict_encoder(sort_keys=True)
+_dumps_strict = _strict_encoder(sort_keys=False)
 
 
 class QueryError(ValueError):
@@ -132,7 +153,10 @@ def mount_store(root: str, experiment: Optional[str] = None,
     :func:`run_query`): only the tables and experiment views they name
     are built.  ``None`` mounts everything.
     """
-    runs = list(scan_runs(root, experiment=experiment))
+    # rows.jsonl is parsed only for the tables built from it: a query
+    # over the event logs reads manifests and telemetry only.
+    read_rows = names is None or not names.isdisjoint(("rows", "runs"))
+    runs = list(scan_runs(root, experiment=experiment, rows=read_rows))
     views: List[str] = []
     for _, manifest, _ in runs:
         name = manifest["experiment"]
@@ -140,6 +164,8 @@ def mount_store(root: str, experiment: Optional[str] = None,
                 name.lower() not in _RESERVED_TABLES and
                 (names is None or name.lower() in names)):
             views.append(name)
+    if views and not read_rows:  # an experiment view is over rows
+        runs = list(scan_runs(root, experiment=experiment))
 
     def wanted(table: str) -> bool:
         return names is None or table in names
@@ -246,18 +272,24 @@ def _load_table(connection: Any, table: str, columns: List[str],
     """
     groups = [(keys, [tuple(row.values()) for row in run])
               for keys, run in groupby(rows, key=tuple)]
-    kinds: Dict[str, set] = {column: set() for column in columns}
+    # Untyped columns keep ints as ints; only a column whose non-null
+    # values are all bools is declared, so its converter hands booleans
+    # back.  The first batch holding a column usually rules it out.
+    maybe_bool = set(columns)
+    bools = set()
     for keys, values in groups:
         for key, column in zip(keys, zip(*values)):
-            kinds[key].update(map(type, column))
+            if key in maybe_bool:
+                kinds = set(map(type, column))
+                kinds.discard(type(None))
+                if kinds - {bool}:
+                    maybe_bool.discard(key)
+                elif kinds:
+                    bools.add(key)
+    bools &= maybe_bool
     quoted = dict(zip(columns, map(_quote, _sql_names(columns))))
-    declared = []
-    for column in columns:
-        kinds[column].discard(type(None))
-        # Untyped columns keep ints as ints; only an all-bool column is
-        # declared, so its converter hands booleans back.
-        declared.append(quoted[column] +
-                        (" BOOLEAN" if kinds[column] == {bool} else ""))
+    declared = [quoted[column] + (" BOOLEAN" if column in bools else "")
+                for column in columns]
     connection.execute(
         f"CREATE TABLE {_quote(table)} ({', '.join(declared)})")
     inserts: Dict[Tuple[str, ...], str] = {}

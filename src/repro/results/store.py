@@ -466,19 +466,22 @@ def list_runs(root: str,
     return [run_dir for _, _, run_dir in runs]
 
 
-def scan_runs(root: str, experiment: Optional[str] = None
+def scan_runs(root: str, experiment: Optional[str] = None,
+              rows: bool = True
               ) -> Iterator[Tuple[str, Dict[str, Any], List[Dict[str, Any]]]]:
     """Iterate every loadable run: ``(run_dir, manifest, records)``.
 
     The query/report layer's mount path: corrupt manifests, stray files
     and unreadable rows are skipped with a warning instead of raising,
     so one damaged run directory cannot take ``repro query`` down for
-    the whole store.
+    the whole store.  With ``rows=False`` ``rows.jsonl`` is not read and
+    ``records`` is empty, for readers that need only the manifests.
     """
     for run_dir in list_runs(root, experiment=experiment):
         try:
             manifest = read_manifest(run_dir)
-            records = read_jsonl_records(os.path.join(run_dir, ROWS_NAME))
+            records = read_jsonl_records(os.path.join(run_dir, ROWS_NAME)) \
+                if rows else []
         except (OSError, ValueError, KeyError) as error:
             warnings.warn(f"skipping unloadable run {run_dir}: {error}",
                           RuntimeWarning, stacklevel=2)

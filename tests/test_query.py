@@ -8,8 +8,9 @@ import pytest
 from repro.experiments import get_experiment
 from repro.results import RunStore, load_run, scan_runs
 from repro.results.query import (SPAN_META_COLUMNS, MountedStore,
-                                 QueryError, _sql_names, mount_store,
-                                 query_store, run_query)
+                                 QueryError, _dumps_sorted, _dumps_strict,
+                                 _sql_names, mount_store, query_store,
+                                 run_query)
 
 PEOPLE = [
     {"name": "ada", "team": "a", "score": 3, "bonus": None},
@@ -108,6 +109,31 @@ class TestSQL:
         assert rows == [(True, 1, 7), (False, 1, None)]
         assert type(rows[0][0]) is bool and type(rows[0][2]) is int
 
+    def test_booleans_are_detected_across_key_sets(self):
+        # Rows of different key sets go in as separate batches; a column
+        # is BOOLEAN only if every batch holds nothing but bools for it.
+        store = MountedStore(
+            tables={"t": [{"flag": None}, {"flag": True, "n": 1},
+                          {"n": False}, {"flag": False}]},
+            columns={"t": ["flag", "n"]})
+        rows = query_store(store, "SELECT flag, n FROM t").rows
+        assert rows == [(None, None), (True, 1), (None, 0), (False, None)]
+        assert type(rows[1][0]) is bool and type(rows[2][1]) is int
+
+    @pytest.mark.parametrize("value", [
+        ["E6", "ben-or", 9, "split", 0.25, True, None],
+        {"b": [1, {"y": 2, "x": "\u00e9\"q"}], "a": -1.5e-300},
+        "plain", 3, None, [],
+    ])
+    def test_cells_encode_as_json_dumps_does(self, value):
+        assert _dumps_sorted(value) == json.dumps(value, sort_keys=True)
+        assert _dumps_strict(value) == json.dumps(value)
+
+    def test_non_finite_cells_are_refused_and_encoder_recovers(self):
+        with pytest.raises(ValueError):
+            _dumps_sorted([1, float("nan")])
+        assert _dumps_sorted([{"k": [1]}]) == '[{"k": [1]}]'
+
     def test_int_float_column_does_not_promote(self):
         # "p" holds 0.5 in one row and the int 1 in another; a column
         # typed REAL would hand the int back as 1.0.
@@ -195,6 +221,23 @@ class TestMountStore:
         assert result.rows == [(4,)]
         with pytest.raises(AssertionError, match="telemetry read"):
             run_query(root, "SELECT * FROM spans")
+
+    def test_telemetry_query_never_parses_rows(self, tmp_path,
+                                               monkeypatch):
+        import repro.results.store as store
+
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        expected = run_query(root, "SELECT COUNT(*) FROM spans").rows
+
+        def exploding(path):
+            raise AssertionError(f"rows read for a telemetry query: {path}")
+
+        monkeypatch.setattr(store, "read_jsonl_records", exploding)
+        assert run_query(root, "SELECT COUNT(*) FROM spans").rows == expected
+        assert run_query(root, "SELECT COUNT(*) FROM metrics").rows
+        for sql in ("SELECT * FROM runs", "SELECT * FROM E8"):
+            with pytest.raises(AssertionError, match="rows read"):
+                run_query(root, sql)
 
     def test_experiment_view_mounts_rows(self, tmp_path):
         root = _store_with_runs(tmp_path, seeds=(1,))
