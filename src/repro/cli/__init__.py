@@ -100,7 +100,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.statistics import format_table
@@ -274,67 +274,55 @@ def _print_health(health) -> None:
               f"({entry.get('attempts')} attempts)")
 
 
-def _open_store(args: argparse.Namespace, name: str,
-                params: Dict[str, Any], fault_injector=None, health=None):
-    """Open the run store (unless ``--no-store``), with resume state.
+class _Campaign:
+    """The scaffold ``_campaign`` hands a run/fuzz/search handler.
 
-    Returns:
-        ``(store, cached_rows, was_complete)`` — ``(None, 0, False)``
-        when persistence is disabled.
-    """
-    if args.no_store:
-        return None, 0, False
-    store = RunStore.open(args.out, name, params, workers=args.workers,
-                          fault_injector=fault_injector, health=health,
-                          backend=getattr(args, "backend", None))
-    return store, store.row_count, bool(store.manifest.get("completed"))
-
-
-def _finish_store(store: RunStore, cached: int, was_complete: bool,
-                  wall_time: float, unit: str, extra_work: int = 0) -> str:
-    """Complete the run and return the resume-status header fragment.
-
-    A rerun that computed nothing (fully cached, and no extra work such
-    as minimization) keeps the originally stored wall time and completed
-    flag instead of clobbering them with ~0s / partial.
-    """
-    computed = store.row_count - cached
-    if computed or extra_work or not was_complete:
-        store.finish(wall_time)
-    return f"; {cached} cached + {computed} computed {unit} -> {store.path}"
-
-
-class _CampaignTiming:
-    """What ``_campaign_timing`` hands the campaign handlers.
-
-    ``telemetry`` goes into the campaign entry point (``None`` with
-    ``--no-telemetry``); ``wall_time`` is set when the context exits.
+    ``store`` is ``None`` under ``--no-store`` and ``telemetry`` under
+    ``--no-telemetry``; ``health`` is the run's ledger.  A handler sets
+    ``extra_work`` to the work it did besides computing rows, so a fully
+    cached rerun still stamps the manifest.  ``wall_time`` and ``status``
+    (the resume-status header fragment) are set when the context exits.
     """
 
-    def __init__(self) -> None:
-        self.telemetry = None
+    def __init__(self, store: Optional[RunStore], health, telemetry) -> None:
+        self.store = store
+        self.health = health
+        self.telemetry = telemetry
+        self.extra_work = 0
         self.wall_time = 0.0
+        self.status = ""
 
 
 @contextmanager
-def _campaign_timing(args: argparse.Namespace, store, label: str):
-    """Time one campaign and run its telemetry lifecycle.
+def _campaign(args: argparse.Namespace, name: str, params: Dict[str, Any],
+              label: str, injector, unit: str):
+    """Open, time, observe and finish one campaign: the shared scaffold.
 
-    The single timing path shared by run/fuzz/search: builds the
+    Opens the run store under ``--out`` (unless ``--no-store``; an
+    existing run resumes), builds the
     :class:`~repro.telemetry.Telemetry` recorder (unless
     ``--no-telemetry``; ``--profile`` forces it on and attaches a
     :class:`~repro.telemetry.ProfileSession`), points its sink at the
-    run store, opens the root ``campaign`` span, and subscribes the
-    live progress renderer.  On exit — *before* the handler stamps the
-    manifest through ``_finish_store`` — the progress line is cleared,
-    profile artifacts are saved under ``profile/`` in the run
-    directory, and the recorder is flushed and closed, so the final
-    manifest summarizes a fully written event log.
+    store, opens the root ``campaign`` span and subscribes the live
+    progress renderer.  On exit the progress line is cleared, profile
+    artifacts are saved under ``profile/`` and the recorder is flushed
+    and closed; only then is the manifest stamped, so it summarizes a
+    fully written event log.  A rerun that computed nothing (fully
+    cached, no ``extra_work``) keeps the originally stored wall time
+    and completed flag instead of clobbering them with ~0s / partial.
     """
+    from repro.runner import RunHealth
     from repro.telemetry import (PROFILE_DIR, ProfileSession,
                                  ProgressRenderer, Telemetry)
 
-    timing = _CampaignTiming()
+    health = RunHealth()
+    store = None
+    if not args.no_store:
+        store = RunStore.open(args.out, name, params, workers=args.workers,
+                              fault_injector=injector, health=health,
+                              backend=args.backend)
+        cached = store.row_count
+        was_complete = bool(store.manifest.get("completed"))
     telemetry = None
     progress = None
     if args.profile or not args.no_telemetry:
@@ -347,16 +335,14 @@ def _campaign_timing(args: argparse.Namespace, store, label: str):
         if not args.no_progress:
             progress = ProgressRenderer(label)
             telemetry.add_listener(progress)
-    timing.telemetry = telemetry
+    campaign = _Campaign(store, health, telemetry)
     started = time.time()
     try:
-        if telemetry is not None:
-            with telemetry.span("campaign", label=label):
-                yield timing
-        else:
-            yield timing
+        with (telemetry.span("campaign", label=label)
+              if telemetry is not None else nullcontext()):
+            yield campaign
     finally:
-        timing.wall_time = time.time() - started
+        campaign.wall_time = time.time() - started
         if progress is not None:
             progress.close()
         if telemetry is not None:
@@ -365,10 +351,42 @@ def _campaign_timing(args: argparse.Namespace, store, label: str):
                 if store is not None:
                     telemetry.profile.save(store.artifact_path(PROFILE_DIR))
             telemetry.close()
+    if store is not None:
+        computed = store.row_count - cached
+        if computed or campaign.extra_work or not was_complete:
+            store.finish(campaign.wall_time)
+        campaign.status = (f"; {cached} cached + {computed} computed "
+                           f"{unit} -> {store.path}")
 
 
-def _add_observability_args(parser: argparse.ArgumentParser) -> None:
-    """The telemetry knobs, shared by run/fuzz/search."""
+def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
+    """The store, resilience and telemetry knobs, shared by run/fuzz/search."""
+    from repro.faults import CHAOS_ENV
+
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes (0 = serial; default: "
+                             "$REPRO_WORKERS or the CPU count)")
+    parser.add_argument("--out", default=DEFAULT_OUT,
+                        help="results-store root (default: results/)")
+    parser.add_argument("--no-store", action="store_true",
+                        help="print the output only, persist nothing")
+    parser.add_argument("--max-retries", type=int, default=2,
+                        help="re-executions of a failed chunk/trial "
+                             "before quarantine (default: 2; 0 disables)")
+    parser.add_argument("--trial-timeout", type=float, default=None,
+                        help="per-trial wall-clock budget in seconds; "
+                             "enables the hang watchdog (default: off)")
+    parser.add_argument("--chaos", default=os.environ.get(CHAOS_ENV),
+                        help="inject deterministic faults, e.g. "
+                             "'crash=0.2,hang=0.1,raise=0.1,seed=7' "
+                             "(kinds: crash, hang, raise, poison, torn; "
+                             "default: $REPRO_CHAOS)")
+    parser.add_argument("--backend", default="trial",
+                        choices=("trial", "batched", "auto"),
+                        help="execution backend: 'batched' vectorizes "
+                             "supported trial groups (bit-identical "
+                             "results), 'auto' does so when numpy is "
+                             "available (default: trial)")
     parser.add_argument("--no-telemetry", action="store_true",
                         help="record no telemetry.jsonl event log "
                              "(results are bit-identical either way)")
@@ -389,8 +407,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("repro run: name at least one experiment, or pass --all",
               file=sys.stderr)
         return 2
-    from repro.runner import RunHealth
-
     try:
         policy, injector = _execution_policy(args)
     except ValueError as error:
@@ -405,26 +421,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # experiments still regenerate (and persist) their tables.
             exit_code = _usage_error("run", error)
             continue
-        health = RunHealth()
-        store, cached, was_complete = _open_store(
-            args, experiment.name, params, fault_injector=injector,
-            health=health)
-        with _campaign_timing(args, store, f"run {experiment.name}") \
-                as timing:
+        with _campaign(args, experiment.name, params,
+                       f"run {experiment.name}", injector,
+                       unit="cells") as campaign:
             rows = experiment.run(params=params, workers=args.workers,
-                                  store=store, policy=policy,
-                                  health=health, backend=args.backend,
-                                  telemetry=timing.telemetry)
-        wall_time = timing.wall_time
-        header = f"== {experiment.name}: {experiment.title} " \
-                 f"({wall_time:.1f}s"
-        if store is not None:
-            header += _finish_store(store, cached, was_complete, wall_time,
-                                    unit="cells")
-        header += ") =="
-        print(header)
+                                  store=campaign.store, policy=policy,
+                                  health=campaign.health,
+                                  backend=args.backend,
+                                  telemetry=campaign.telemetry)
+        print(f"== {experiment.name}: {experiment.title} "
+              f"({campaign.wall_time:.1f}s{campaign.status}) ==")
         print(format_table(rows))
-        _print_health(health)
+        _print_health(campaign.health)
         print()
     return exit_code
 
@@ -587,36 +595,26 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             max_steps=args.max_steps, engine=args.engine)
     except (KeyError, ValueError) as error:
         return _usage_error("fuzz", error)
-    from repro.runner import RunHealth
-
     try:
         policy, injector = _execution_policy(args)
     except ValueError as error:
         return _usage_error("fuzz", error)
-    health = RunHealth()
-    store, cached, was_complete = _open_store(
-        args, FUZZ_EXPERIMENT, params, fault_injector=injector,
-        health=health)
-    with _campaign_timing(args, store, "fuzz") as timing:
+    with _campaign(args, FUZZ_EXPERIMENT, params, "fuzz", injector,
+                   unit="trials") as campaign:
         report = run_fuzz_campaign(params, workers=args.workers,
-                                   store=store, minimize=args.minimize,
-                                   policy=policy, health=health,
+                                   store=campaign.store,
+                                   minimize=args.minimize, policy=policy,
+                                   health=campaign.health,
                                    backend=args.backend,
-                                   telemetry=timing.telemetry)
-    wall_time = timing.wall_time
-    header = (f"== fuzz: {params['trials']} trials of "
-              f"{params['protocol']} (n={params['n']}, t={params['t']}, "
-              f"{params['engine']} engine, seed {params['seed']}; "
-              f"{wall_time:.1f}s")
-    if store is not None:
+                                   telemetry=campaign.telemetry)
         # Minimization rewrites cached rows, so it counts as work done
         # this run: the manifest must end up completed with this wall time.
-        header += _finish_store(store, cached, was_complete, wall_time,
-                                unit="trials",
-                                extra_work=report.minimized_trials)
-    header += ") =="
-    print(header)
-    _print_health(health)
+        campaign.extra_work = report.minimized_trials
+    print(f"== fuzz: {params['trials']} trials of "
+          f"{params['protocol']} (n={params['n']}, t={params['t']}, "
+          f"{params['engine']} engine, seed {params['seed']}; "
+          f"{campaign.wall_time:.1f}s{campaign.status}) ==")
+    _print_health(campaign.health)
     findings = report.findings
     if not findings:
         print(f"no invariant violations in {params['trials']} trials")
@@ -648,36 +646,28 @@ def _cmd_search(args: argparse.Namespace) -> int:
             verify=not args.no_verify, target_score=args.target_score)
     except (KeyError, ValueError) as error:
         return _usage_error("search", error)
-    from repro.runner import RunHealth
-
     try:
         policy, injector = _execution_policy(args)
     except ValueError as error:
         return _usage_error("search", error)
-    health = RunHealth()
-    store, cached, was_complete = _open_store(
-        args, SEARCH_EXPERIMENT, params, fault_injector=injector,
-        health=health)
-    with _campaign_timing(args, store, "search") as timing:
+    with _campaign(args, SEARCH_EXPERIMENT, params, "search", injector,
+                   unit="evaluations") as campaign:
         report = run_search_campaign(params, workers=args.workers,
-                                     store=store, policy=policy,
-                                     health=health, backend=args.backend,
-                                     telemetry=timing.telemetry)
-    wall_time = timing.wall_time
-    header = (f"== search: {params['strategy']} x "
-              f"{params['generations']}x{params['population']} toward "
-              f"{params['objective']} on {params['protocol']} "
-              f"(n={params['n']}, t={params['t']}, "
-              f"horizon {params['windows']} windows, "
-              f"seed {params['seed']}; {wall_time:.1f}s")
-    if store is not None:
+                                     store=campaign.store, policy=policy,
+                                     health=campaign.health,
+                                     backend=args.backend,
+                                     telemetry=campaign.telemetry)
         # Writing the best-schedule artifact counts as work done, so the
         # manifest ends up completed even on a fully cached rerun.
-        header += _finish_store(store, cached, was_complete, wall_time,
-                                unit="evaluations", extra_work=1)
-    header += ") =="
-    print(header)
-    _print_health(health)
+        campaign.extra_work = 1
+    print(f"== search: {params['strategy']} x "
+          f"{params['generations']}x{params['population']} toward "
+          f"{params['objective']} on {params['protocol']} "
+          f"(n={params['n']}, t={params['t']}, "
+          f"horizon {params['windows']} windows, "
+          f"seed {params['seed']}; {campaign.wall_time:.1f}s"
+          f"{campaign.status}) ==")
+    _print_health(campaign.health)
     print(format_table(report.generation_summary()))
     print(f"\nbest score: {report.best_score} "
           f"(generation {report.best_generation})")
@@ -811,29 +801,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """The supervising executor's knobs, shared by run/fuzz/search."""
-    from repro.faults import CHAOS_ENV
-
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="re-executions of a failed chunk/trial "
-                             "before quarantine (default: 2; 0 disables)")
-    parser.add_argument("--trial-timeout", type=float, default=None,
-                        help="per-trial wall-clock budget in seconds; "
-                             "enables the hang watchdog (default: off)")
-    parser.add_argument("--chaos", default=os.environ.get(CHAOS_ENV),
-                        help="inject deterministic faults, e.g. "
-                             "'crash=0.2,hang=0.1,raise=0.1,seed=7' "
-                             "(kinds: crash, hang, raise, poison, torn; "
-                             "default: $REPRO_CHAOS)")
-    parser.add_argument("--backend", default="trial",
-                        choices=("trial", "batched", "auto"),
-                        help="execution backend: 'batched' vectorizes "
-                             "supported trial groups (bit-identical "
-                             "results), 'auto' does so when numpy is "
-                             "available (default: trial)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -864,20 +831,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run every registered experiment")
     run_parser.add_argument("--quick", action="store_true",
                             help="apply the quick (smoke-sized) overrides")
-    run_parser.add_argument("--workers", type=int, default=None,
-                            help="worker processes (0 = serial; default: "
-                                 "$REPRO_WORKERS or the CPU count)")
-    run_parser.add_argument("--out", default=DEFAULT_OUT,
-                            help="results-store root (default: results/)")
-    run_parser.add_argument("--no-store", action="store_true",
-                            help="print tables only, persist nothing")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the master seed")
     run_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                             help="override one experiment parameter "
                                  "(repeatable; value is a Python literal)")
-    _add_resilience_args(run_parser)
-    _add_observability_args(run_parser)
+    _add_campaign_args(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
     fuzz_parser = subparsers.add_parser(
@@ -906,18 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="window cap per trial (default: 60)")
     fuzz_parser.add_argument("--max-steps", type=int, default=6000,
                              help="step cap per trial (default: 6000)")
-    fuzz_parser.add_argument("--workers", type=int, default=None,
-                             help="worker processes (0 = serial; default: "
-                                  "$REPRO_WORKERS or the CPU count)")
     fuzz_parser.add_argument("--minimize", action="store_true",
                              help="shrink violating schedules into "
                                   "counterexample artifacts")
-    fuzz_parser.add_argument("--out", default=DEFAULT_OUT,
-                             help="results-store root (default: results/)")
-    fuzz_parser.add_argument("--no-store", action="store_true",
-                             help="print findings only, persist nothing")
-    _add_resilience_args(fuzz_parser)
-    _add_observability_args(fuzz_parser)
+    _add_campaign_args(fuzz_parser)
     fuzz_parser.set_defaults(func=_cmd_fuzz)
 
     search_parser = subparsers.add_parser(
@@ -958,18 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.add_argument("--target-score", type=float, default=None,
                                help="stop once the running best reaches "
                                     "this score (budget is unchanged)")
-    search_parser.add_argument("--workers", type=int, default=None,
-                               help="worker processes (0 = serial; "
-                                    "default: $REPRO_WORKERS or the CPU "
-                                    "count)")
-    search_parser.add_argument("--out", default=DEFAULT_OUT,
-                               help="results-store root "
-                                    "(default: results/)")
-    search_parser.add_argument("--no-store", action="store_true",
-                               help="print the summary only, persist "
-                                    "nothing")
-    _add_resilience_args(search_parser)
-    _add_observability_args(search_parser)
+    _add_campaign_args(search_parser)
     search_parser.set_defaults(func=_cmd_search)
 
     replay_parser = subparsers.add_parser(

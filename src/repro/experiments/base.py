@@ -18,16 +18,25 @@ is drawn while cells are *built* (in the exact order the pre-registry
 serial loops drew them), which cells later *execute* never perturbs any
 other cell — that is what makes both the bit-identical legacy wrappers and
 the results store's cell-level resume possible.
+
+:func:`run_cells` is the one campaign loop: it skips the cells a
+:class:`RowStore` already holds, streams the rest through a caller-built
+executor and writes each row as it arrives.  Experiments, fuzz campaigns
+(one cell per trial) and search campaigns (one call per generation) all
+run through it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from contextlib import nullcontext
+from functools import partial
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
-from repro.runner import TrialSpec, iter_trials, run_trials
+# ``run_trials`` is unused here but kept: perfbench's tracer patches it.
+from repro.runner import TrialSpec, iter_trials, run_trials  # noqa: F401
 from repro.runner.health import RunHealth, TrialFailure
 from repro.simulation.trace import ExecutionResult
 
@@ -57,15 +66,20 @@ class Cell:
 
 
 class RowStore:
-    """The storage interface :meth:`Experiment.run` writes through.
+    """The storage interface :func:`run_cells` writes through.
 
     :class:`repro.results.RunStore` is the real implementation; the base
     class documents the contract and doubles as an in-memory null store.
     """
 
     def completed_rows(self) -> Dict[str, Row]:
-        """Rows already on disk, keyed by :func:`cell_key_id`."""
+        """Rows already on disk, keyed by :func:`cell_key_id` (a new dict)."""
         return {}
+
+    @property
+    def row_count(self) -> int:
+        """How many rows the store holds."""
+        return 0
 
     def write_row(self, index: int, key: Tuple[Any, ...], row: Row) -> None:
         """Persist one freshly computed row."""
@@ -144,22 +158,17 @@ class Experiment:
             health: Optional[RunHealth] = None,
             backend: Optional[str] = None,
             telemetry: Optional[Any] = None) -> List[Row]:
-        """Run the experiment and return its rows.
+        """Run the experiment through :func:`run_cells` and return its rows.
 
-        Without a ``store`` the whole spec batch goes through one
-        :func:`repro.runner.run_trials` call.  With a ``store``, cells
-        whose rows the store already holds are skipped entirely (the
-        resume path) and the remaining cells' specs are submitted as one
-        streamed batch — full worker fan-out, with each row written to
-        disk the moment its cell's results arrive.  Both paths produce
-        identical rows because every seed is fixed at cell-build time.
+        Cells whose rows ``store`` already holds are skipped (the resume
+        path); without a ``store`` the null :class:`RowStore` stands in.
 
         Execution always goes through the supervising executor
         (:class:`~repro.runner.supervisor.SupervisedRunner`): retries and
         broken-pool recovery are on by default, tunable via ``policy``.
         A cell whose trials exhausted every recovery rung yields no row —
-        its failure is recorded in ``health`` (and, with a store, in the
-        manifest's ``run_health`` block) instead of killing the run; a
+        its failure is recorded in ``health`` (and in the store's
+        manifest ``run_health`` block) instead of killing the run; a
         later resume retries exactly the missing cells.
 
         ``backend`` selects the execution backend: ``"batched"`` (or
@@ -169,76 +178,92 @@ class Experiment:
 
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
         recorder: each pending cell's consumption becomes a ``cell``
-        span and the expected trial total is gauged up front.  Rows are
+        span and the pending trial total is gauged up front.  Rows are
         bit-identical with or without it.
         """
-        from repro.runner.supervisor import ExecutionPolicy
-
         merged = self.resolve_params(params, quick=quick)
-        rng = random.Random(merged["seed"])
-        cells = self.build_cells(merged, rng)
-        if policy is None:
-            policy = ExecutionPolicy()
+        cells = self.build_cells(merged, random.Random(merged["seed"]))
+        if store is None:
+            store = RowStore()
         if health is None:
             health = RunHealth()
-        rows: List[Row] = []
-        if store is None:
-            batch = [spec for cell in cells for spec in cell.specs]
-            if telemetry is not None:
-                telemetry.gauge("trials_total", len(batch))
-            results = run_trials(batch, workers=workers, policy=policy,
-                                 health=health, backend=backend,
-                                 telemetry=telemetry)
-            offset = 0
-            for cell in cells:
-                chunk = results[offset:offset + len(cell.specs)]
-                offset += len(cell.specs)
-                if not _cell_failed(chunk):
-                    rows.append(cell.build_row(chunk))
-        else:
-            completed = store.completed_rows()
-            pending = [(index, cell) for index, cell in enumerate(cells)
-                       if cell_key_id(cell.key) not in completed]
-            if telemetry is not None:
-                telemetry.gauge("cells_total", len(cells))
-                telemetry.gauge("trials_total", sum(
-                    len(cell.specs) for _, cell in pending))
-            stream = iter_trials(
-                [spec for _, cell in pending for spec in cell.specs],
-                workers=workers, policy=policy, health=health,
-                backend=backend, telemetry=telemetry)
-            fresh: Dict[int, Row] = {}
-            for index, cell in pending:
-                if telemetry is not None:
-                    # Chunk/trial spans recorded while this cell's
-                    # results are consumed nest under its span; a chunk
-                    # crossing cell boundaries books under the cell that
-                    # consumed it (documented in PERFORMANCE.md).
-                    with telemetry.span("cell", cell=list(cell.key)):
-                        chunk = [next(stream) for _ in cell.specs]
-                else:
-                    chunk = [next(stream) for _ in cell.specs]
-                if _cell_failed(chunk):
-                    # The failure is already in the health ledger; the
-                    # cell stays unwritten so a resume retries it.
-                    continue
-                row = cell.build_row(chunk)
-                store.write_row(index, cell.key, row)
-                fresh[index] = row
-            for index, cell in enumerate(cells):
-                stored = completed.get(cell_key_id(cell.key))
-                row = fresh.get(index) if stored is None else stored
-                if row is not None:
-                    rows.append(row)
-            store.record_health(health)
+        if telemetry is not None:
+            telemetry.gauge("cells_total", len(cells))
+        execute = partial(iter_trials, workers=workers, policy=policy,
+                          health=health, backend=backend,
+                          telemetry=telemetry)
+        run = run_cells(list(enumerate(cells)), store, execute,
+                        telemetry=telemetry, span="cell")
+        store.record_health(health)
+        rows = [row for row in run.rows if row is not None]
         if self.finalize is not None:
             rows = rows + self.finalize(rows, merged)
         return rows
 
 
-def _cell_failed(chunk: Sequence[Any]) -> bool:
-    """Whether any trial in a cell's result chunk failed for good."""
-    return any(isinstance(item, TrialFailure) for item in chunk)
+class CellRun(NamedTuple):
+    """What :func:`run_cells` returns.
+
+    Attributes:
+        rows: one entry per cell, in the order the cells were given: the
+            stored or freshly computed row, or ``None`` for a cell whose
+            trials failed for good.
+        computed: cells executed and written by this call.
+        failed: cells left unwritten because a trial failed for good.
+    """
+
+    rows: List[Optional[Row]]
+    computed: int
+    failed: int
 
 
-__all__ = ["Cell", "Experiment", "Row", "RowStore", "cell_key_id"]
+def run_cells(cells: Sequence[Tuple[int, Cell]], store: RowStore,
+              execute: Callable[[List[TrialSpec]], Iterator[Any]],
+              telemetry: Optional[Any] = None,
+              span: Optional[str] = None) -> CellRun:
+    """The one campaign loop: resume, stream, write.
+
+    Experiments, fuzz campaigns and search generations all run through
+    here.  ``cells`` pairs each cell with its row index in the run.
+    Cells whose rows ``store`` already holds are skipped; the specs of
+    the rest go to ``execute`` as one batch, whose results must stream
+    back in submission order, and each row is built and written the
+    moment its cell's results arrive.  A cell with a failed trial stays
+    unwritten: the failure is already in the health ledger, and a
+    resume retries the cell.
+
+    ``execute`` is built by the caller from its own module's
+    ``iter_trials``, so the runner call keeps its call site.  With
+    ``telemetry`` the pending trial count is gauged as ``trials_total``,
+    and with a ``span`` name too, consuming each pending cell's results
+    is timed as one span of that name.
+    """
+    completed = store.completed_rows()
+    pending = [(index, cell) for index, cell in cells
+               if cell_key_id(cell.key) not in completed]
+    specs = [spec for _, cell in pending for spec in cell.specs]
+    if telemetry is not None:
+        telemetry.gauge("trials_total", len(specs))
+    stream = execute(specs)
+    computed = failed = 0
+    for index, cell in pending:
+        # Chunk/trial spans recorded while this cell's results are
+        # consumed nest under its span; a chunk crossing cell boundaries
+        # books under the cell that consumed it (see PERFORMANCE.md).
+        with (telemetry.span(span, cell=list(cell.key))
+              if telemetry is not None and span is not None
+              else nullcontext()):
+            chunk = [next(stream) for _ in cell.specs]
+        if any(isinstance(item, TrialFailure) for item in chunk):
+            failed += 1
+            continue
+        row = cell.build_row(chunk)
+        store.write_row(index, cell.key, row)
+        completed[cell_key_id(cell.key)] = row
+        computed += 1
+    rows = [completed.get(cell_key_id(cell.key)) for _, cell in cells]
+    return CellRun(rows, computed, failed)
+
+
+__all__ = ["Cell", "CellRun", "Experiment", "Row", "RowStore", "cell_key_id",
+           "run_cells"]

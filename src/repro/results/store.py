@@ -15,7 +15,7 @@ Layout::
 Rows stream to ``rows.jsonl`` the moment their cell completes (the file is
 flushed per line), so a killed run keeps everything it finished.  On
 rerun, :meth:`RunStore.completed_rows` feeds the already-stored rows back
-to :meth:`repro.experiments.base.Experiment.run`, which skips those cells.
+to :func:`repro.experiments.base.run_cells`, which skips those cells.
 Synthetic finalizer rows (the E2/E4 exponential fits) are *never* stored;
 they are recomputed from the data rows when a run is rendered.
 

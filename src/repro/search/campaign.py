@@ -12,10 +12,11 @@ existing :mod:`repro.verification.shrink` machinery.
 
 Campaigns persist through :class:`repro.results.RunStore` under the
 pseudo-experiment name ``"search"``: one row per candidate evaluation,
-streamed as generations finish.  Because candidate genomes are a pure
-function of the campaign seed and the observed scores, a resumed campaign
-re-derives the proposal sequence and skips every evaluation the store
-already holds — kill/resume is bit-identical to an uninterrupted run.
+each generation one :func:`repro.experiments.base.run_cells` call.
+Because candidate genomes are a pure function of the campaign seed and
+the observed scores, a resumed campaign re-derives the proposal sequence
+and skips every evaluation the store already holds — kill/resume is
+bit-identical to an uninterrupted run.
 The best-found schedule is written as ``best-schedule.json`` in the run
 directory, in the same self-contained artifact format as the fuzz
 counterexamples, so ``repro replay`` (and the ``replay-schedule``
@@ -27,10 +28,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.base import Cell, RowStore, run_cells
 from repro.protocols.registry import get_protocol
 from repro.results.store import RunStore
 from repro.runner import TrialSpec, derive_seed, iter_trials
@@ -370,93 +373,72 @@ def run_search_campaign(params: Dict[str, Any],
             evaluations, with bit-identical scores by contract.
         telemetry: an optional :class:`~repro.telemetry.Telemetry`
             recorder; each generation becomes a ``generation`` span and
-            the expected evaluation total is gauged up front.  Scores
+            the evaluations not yet stored are gauged up front.  Scores
             are bit-identical with or without it.
     """
-    from repro.experiments.base import cell_key_id
-    from repro.runner.health import RunHealth, TrialFailure
-    from repro.runner.supervisor import ExecutionPolicy
+    from repro.runner.health import RunHealth
 
-    if policy is None:
-        policy = ExecutionPolicy()
     if health is None:
         health = RunHealth()
+    rows_store = store if store is not None else RowStore()
     strategy = campaign_strategy(params)
     objective = campaign_objective(params)
     checker = InvariantChecker()
-    completed: Dict[str, Dict[str, Any]] = \
-        store.completed_rows() if store is not None else {}
     report = SearchReport(
         params=params,
         run_dir=store.path if store is not None else None)
     best_so_far = -math.inf
+    execute = partial(iter_trials, workers=workers, policy=policy,
+                      health=health, backend=backend, telemetry=telemetry)
     if telemetry is not None:
+        # run_cells runs once per generation, so the campaign gauges its
+        # own total: the evaluation budget the store does not yet hold.
         telemetry.gauge("trials_total",
-                        params["generations"] * params["population"])
+                        params["generations"] * params["population"]
+                        - rows_store.row_count)
     for generation in range(params["generations"]):
         genomes = strategy.propose(generation)
         assert all(is_admissible(genome, params["n"], params["t"])
                    for genome in genomes), \
             "strategy proposed an inadmissible schedule"
-        keys = [(SEARCH_EXPERIMENT, generation, candidate)
-                for candidate in range(len(genomes))]
-        pending = [candidate for candidate, key in enumerate(keys)
-                   if cell_key_id(key) not in completed]
-        fresh: Dict[int, Dict[str, Any]] = {}
-        with ExitStack() as span_scope:
-            if telemetry is not None:
-                span_scope.enter_context(telemetry.span(
-                    "generation", generation=generation,
-                    candidates=len(pending)))
-            stream = iter_trials(
-                [candidate_spec(params, objective, genomes[candidate],
-                                generation, candidate)
-                 for candidate in pending],
-                workers=workers, policy=policy, health=health,
-                backend=backend, telemetry=telemetry)
-            for candidate in pending:
-                result = next(stream)
-                if isinstance(result, TrialFailure):
-                    # The failure is in the health ledger; the candidate
-                    # gets a synthesized in-memory row (never persisted,
-                    # so a resumed campaign retries it) scoring -inf
-                    # below.
-                    report.failed_evaluations += 1
-                    fresh[candidate] = {
-                        "generation": generation, "candidate": candidate,
-                        "score": None, "undecided_windows": 0,
-                        "decided": False, "windows": 0, "total_resets": 0,
-                        "ok": None, "violations": "-",
-                        "best_score": _score_to_stored(best_so_far),
-                        "counterexample": None, "failed": True}
-                    continue
-                row = _evaluation_row(params, objective, checker,
-                                      generation, candidate, result,
-                                      best_so_far)
-                if row["ok"] is False and store is not None:
-                    row["counterexample"] = _shrink_finding(
-                        params, genomes[candidate], store, generation,
-                        candidate)
-                fresh[candidate] = row
-                report.computed_evaluations += 1
-                if store is not None:
-                    index = generation * params["population"] + candidate
-                    store.write_row(index, keys[candidate], row)
-        rows = [completed.get(cell_key_id(key), fresh.get(candidate))
-                for candidate, key in enumerate(keys)]
-        # A failed candidate scores -inf: it never becomes the best, and
-        # strategies treat it exactly like a maximally bad schedule.
-        scores = [-math.inf if row.get("failed")
-                  else _score_from_stored(row["score"]) for row in rows]
-        frontiers = [int(row["undecided_windows"]) for row in rows]
+
+        def evaluate(candidate: int,
+                     results: Sequence[ExecutionResult]) -> Dict[str, Any]:
+            result, = results
+            row = _evaluation_row(params, objective, checker, generation,
+                                  candidate, result, best_so_far)
+            if row["ok"] is False and store is not None:
+                row["counterexample"] = _shrink_finding(
+                    params, genomes[candidate], store, generation,
+                    candidate)
+            return row
+
+        cells = [(generation * params["population"] + candidate,
+                  Cell(key=(SEARCH_EXPERIMENT, generation, candidate),
+                       specs=(candidate_spec(params, objective, genome,
+                                             generation, candidate),),
+                       build_row=partial(evaluate, candidate)))
+                 for candidate, genome in enumerate(genomes)]
+        with (telemetry.span("generation", generation=generation,
+                             candidates=len(genomes))
+              if telemetry is not None else nullcontext()):
+            run = run_cells(cells, rows_store, execute)
+        report.computed_evaluations += run.computed
+        report.failed_evaluations += run.failed
+        # A failed candidate (no row; retried on resume) scores -inf: it
+        # never becomes the best, and strategies treat it exactly like a
+        # maximally bad schedule.
+        scores = [-math.inf if row is None
+                  else _score_from_stored(row["score"]) for row in run.rows]
+        frontiers = [0 if row is None else int(row["undecided_windows"])
+                     for row in run.rows]
         best_so_far = max(best_so_far, max(scores))
         strategy.observe(generation, genomes, scores, frontiers)
-        report.rows.extend(row for row in rows if not row.get("failed"))
+        report.rows.extend(row for row in run.rows if row is not None)
         target = params.get("target_score")
         if target is not None and best_so_far >= target:
             break  # target hit: stop spending the remaining budget
-    if store is not None:
-        store.record_health(health)
+    rows_store.record_health(health)
     report.best_score = strategy.best_score
     report.best_schedule = strategy.best_schedule
     report.best_generation = strategy.best_generation

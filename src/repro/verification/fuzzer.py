@@ -11,8 +11,9 @@ affects wall-clock time only — ``repro fuzz --trials 200 --seed 0`` yields
 bit-identical findings at ``--workers 0``, ``1`` and ``4``.
 
 Campaigns persist through :class:`repro.results.RunStore` under the
-pseudo-experiment name ``"fuzz"``: one row per trial, streamed as trials
-finish, so an interrupted campaign resumes where it stopped.  Violating
+pseudo-experiment name ``"fuzz"``: each trial is a one-spec cell of
+:func:`repro.experiments.base.run_cells`, so rows stream as trials finish
+and an interrupted campaign resumes where it stopped.  Violating
 trials are (optionally) minimized by :mod:`repro.verification.shrink` and
 written as self-contained counterexample JSON artifacts under
 ``<run_dir>/counterexamples/``.
@@ -22,9 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversaries.fuzzing import ScheduleFuzzer, StepFuzzer
+from repro.experiments.base import Cell, RowStore, run_cells
 from repro.protocols.registry import get_protocol
 from repro.results.store import RunStore
 from repro.runner import (STEP_ENGINE, WINDOW_ENGINE, TrialSpec, derive_seed,
@@ -137,7 +140,9 @@ def _trial_checker(params: Dict[str, Any],
 
 
 def _trial_row(params: Dict[str, Any], index: int, spec: TrialSpec,
-               result: ExecutionResult) -> Dict[str, Any]:
+               results: Sequence[ExecutionResult]) -> Dict[str, Any]:
+    """The row of one trial: its one-spec cell's ``build_row``."""
+    result, = results
     report = _trial_checker(params, spec).check_result(result)
     return {
         "trial": index,
@@ -254,51 +259,27 @@ def run_fuzz_campaign(params: Dict[str, Any],
     """
     import os
 
-    from repro.experiments.base import cell_key_id
-    from repro.runner.health import RunHealth, TrialFailure
-    from repro.runner.supervisor import ExecutionPolicy
+    from repro.runner.health import RunHealth
 
-    if policy is None:
-        policy = ExecutionPolicy()
     if health is None:
         health = RunHealth()
-    specs = {index: fuzz_trial_spec(params, index)
-             for index in range(params["trials"])}
-    completed: Dict[str, Dict[str, Any]] = \
-        store.completed_rows() if store is not None else {}
-    pending = [index for index in range(params["trials"])
-               if cell_key_id((FUZZ_EXPERIMENT, index)) not in completed]
-    if telemetry is not None:
-        telemetry.gauge("trials_total", len(pending))
-    stream = iter_trials([specs[index] for index in pending],
-                         workers=workers, policy=policy, health=health,
-                         backend=backend, telemetry=telemetry)
-    fresh: Dict[int, Dict[str, Any]] = {}
-    failed = 0
-    for index in pending:
-        result = next(stream)
-        if isinstance(result, TrialFailure):
-            # Recorded in the health ledger; the trial stays unwritten so
-            # a resumed campaign retries it.
-            failed += 1
-            continue
-        row = _trial_row(params, index, specs[index], result)
-        fresh[index] = row
-        if store is not None:
-            # Stream rows as trials finish, so a killed campaign resumes.
-            store.write_row(index, (FUZZ_EXPERIMENT, index), row)
+    cells = []
+    for index in range(params["trials"]):
+        spec = fuzz_trial_spec(params, index)
+        cells.append((index, Cell(
+            key=(FUZZ_EXPERIMENT, index), specs=(spec,),
+            build_row=partial(_trial_row, params, index, spec))))
+    execute = partial(iter_trials, workers=workers, policy=policy,
+                      health=health, backend=backend, telemetry=telemetry)
+    run = run_cells(cells, store if store is not None else RowStore(),
+                    execute, telemetry=telemetry)
     if store is not None:
         store.record_health(health)
-    rows: List[Dict[str, Any]] = []
-    for index in range(params["trials"]):
-        stored = completed.get(cell_key_id((FUZZ_EXPERIMENT, index)))
-        row = fresh.get(index) if stored is None else stored
-        if row is not None:
-            rows.append(row)
-    report = FuzzReport(params=params, rows=rows,
+    report = FuzzReport(params=params,
+                        rows=[row for row in run.rows if row is not None],
                         run_dir=store.path if store is not None else None,
-                        computed_trials=len(pending) - failed,
-                        failed_trials=failed)
+                        computed_trials=run.computed,
+                        failed_trials=run.failed)
     if minimize and params["engine"] == WINDOW_ENGINE:
         for row in report.findings:
             if row.get("minimized_windows") is not None:

@@ -12,6 +12,7 @@ from repro.search import (SEARCH_EXPERIMENT, build_objective,
                           campaign_setup, load_schedule_artifact,
                           resolve_search_params, run_search_campaign)
 from repro.search.campaign import ROW_SCHEMA
+from repro.telemetry import Telemetry
 from repro.verification import InvariantChecker, replay_schedule
 
 
@@ -65,6 +66,31 @@ class TestCampaignStore:
         assert resumed.best_score == reference.best_score
         assert resumed.best_schedule == reference.best_schedule
         assert resumed.computed_evaluations == 6
+
+    def test_trials_total_gauges_only_uncached_evaluations(self, tmp_path):
+        params = _quick_params()
+        first = RunStore.open(str(tmp_path), SEARCH_EXPERIMENT, params)
+        run_search_campaign(params, workers=0, store=first)
+
+        def gauged(store):
+            events = []
+            telemetry = Telemetry()
+            telemetry.add_listener(events.append)
+            report = run_search_campaign(params, workers=0, store=store,
+                                         telemetry=telemetry)
+            return report, [event["value"] for event in events
+                            if event["kind"] == "gauge"
+                            and event["name"] == "trials_total"]
+
+        # A fully cached rerun has nothing left to execute.
+        report, gauges = gauged(RunStore.open(str(tmp_path),
+                                              SEARCH_EXPERIMENT, params))
+        assert report.computed_evaluations == 0
+        assert gauges == [0]
+        # Unstored, the whole budget is still to run.
+        report, gauges = gauged(None)
+        assert report.computed_evaluations == 16
+        assert gauges == [16]
 
     def test_best_artifact_replays_to_the_reported_score(self, tmp_path):
         params = _quick_params()

@@ -319,3 +319,43 @@ class TestKillResume:
         full_log = read_events(os.path.join(path, TELEMETRY_NAME))
         assert len(full_log) > len(interrupted_log)
         assert full_log[:len(interrupted_log)] == interrupted_log
+
+
+class TestCampaignSpanShape:
+    def test_run_fuzz_and_search_record_their_own_span_shapes(
+            self, tmp_path, capsys):
+        """One store, three campaign kinds: each keeps its span shape.
+
+        Experiments time each computed cell, search each generation, and
+        fuzz no unit above the trial; every campaign has one root span.
+        """
+        from repro.cli import main
+        from repro.results.query import run_query
+
+        common = ["--workers", "0", "--out", str(tmp_path), "--no-progress"]
+        assert main(["run", "E2", "--quick", *common]) == 0
+        assert main(["fuzz", "--trials", "6", *common]) == 0
+        assert main(["search", "--generations", "2", "--population", "3",
+                     "--windows", "40", *common]) == 0
+        capsys.readouterr()
+
+        spans = run_query(str(tmp_path),
+                          "SELECT experiment, name, COUNT(*) FROM spans "
+                          "GROUP BY experiment, name "
+                          "ORDER BY experiment, name").rows
+        assert spans == [
+            ("E2", "campaign", 1), ("E2", "cell", 2), ("E2", "trial", 12),
+            ("fuzz", "campaign", 1), ("fuzz", "trial", 6),
+            ("search", "campaign", 1), ("search", "generation", 2),
+            ("search", "trial", 6)]
+        counters = run_query(str(tmp_path),
+                             "SELECT experiment, name, SUM(delta) "
+                             "FROM metrics WHERE name = 'rows_written' "
+                             "OR name = 'trials_completed' "
+                             "GROUP BY experiment, name "
+                             "ORDER BY experiment, name").rows
+        assert counters == [
+            ("E2", "rows_written", 2), ("E2", "trials_completed", 12),
+            ("fuzz", "rows_written", 6), ("fuzz", "trials_completed", 6),
+            ("search", "rows_written", 6),
+            ("search", "trials_completed", 6)]
